@@ -41,6 +41,14 @@ def parse_levels(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected a comma-separated integer tuple, got {text!r}")
 
 
+def parse_config(text: str, d: int) -> Config:
+    """The configuration `text`, which must have exactly d levels."""
+    levels = parse_levels(text)
+    if len(levels) != d:
+        raise ValueError(f"--d {d} does not match the {len(levels)} levels in {text!r}")
+    return Config(levels)
+
+
 def emit(args, command: str, inputs: dict, result, lines: list[str], started: float) -> None:
     if args.json:
         record = {
@@ -70,7 +78,7 @@ def series_result(p: BiPoly) -> dict:
 
 def cmd_apply(args) -> int:
     started = time.perf_counter()
-    x = Config(parse_levels(args.x))
+    x = parse_config(args.x, args.d)
     y = shift_from(x, args.j)
     emit(
         args,
@@ -85,7 +93,7 @@ def cmd_apply(args) -> int:
 
 def cmd_decompose(args) -> int:
     started = time.perf_counter()
-    x = Config(parse_levels(args.x))
+    x = parse_config(args.x, args.d)
     a = decompose(x)
     emit(
         args,
@@ -100,7 +108,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_stats(args) -> int:
     started = time.perf_counter()
-    x = Config(parse_levels(args.x))
+    x = parse_config(args.x, args.d)
     n, w = size(x), weight(x)
     emit(
         args,
@@ -324,3 +332,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

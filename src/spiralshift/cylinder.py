@@ -13,6 +13,15 @@ the moving group; the point on the group's highest seat wraps around to the
 group's lowest seat one level up.  These d operators commute and give a
 free, transitive action of the semigroup N^d on configurations, inverted at
 the all-zero configuration by `decompose`.
+
+Powers have a closed form.  The movers only rise, so they stay above the
+fixed points and keep the same m = d-j+1 seats forever.  Number the points
+of those seats along their own sub-spiral: the point at `level` on the
+seat of rank r among them (r = 0..m-1) has sub-index level*m + r.  One
+application raises every mover's sub-index by one, so k applications raise
+it by k.  `shift_from` therefore costs one sort, O(d log d), whatever k;
+`act` makes at most d such calls and `decompose` reads each exponent off
+as a difference of sub-indices, both O(d^2 log d) whatever the exponents.
 """
 
 from __future__ import annotations
@@ -67,13 +76,6 @@ def slot_from_index(index: int, d: int) -> Slot:
         raise ValueError("index must be nonnegative")
     level, offset = divmod(index, d)
     return Slot(offset + 1, level)
-
-
-def shift_slot(slot: Slot, steps: int, d: int) -> Slot:
-    """Move `steps` positions up the spiral; seat d wraps to seat 1, one level up."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    return slot_from_index(slot_index(slot, d) + steps, d)
 
 
 @dataclass(frozen=True)
@@ -150,40 +152,52 @@ def shift_all(x: Config) -> Config:
     return Config((x.levels[-1] + 1,) + x.levels[:-1])
 
 
-def shift_from(x: Config, j: int) -> Config:
-    """The rank-j spiral shifting operator.
+def _height_order(levels: tuple[int, ...]) -> list[int]:
+    """0-based seats from the lowest point to the highest.
 
-    The j-1 lowest points stay put; every other point moves up the spiral to
-    the next seat occupied by the moving group.  Exactly one mover (the one
-    on the group's highest seat) gains a level, so the total level rises by
-    one.  Rank 1 moves everything and coincides with `shift_all`.
+    The sort is stable, so equal levels keep seat order, as height requires.
+    """
+    return sorted(range(len(levels)), key=levels.__getitem__)
+
+
+def shift_from(x: Config, j: int, k: int = 1) -> Config:
+    """The rank-j spiral shifting operator, applied k times.
+
+    The j-1 lowest points stay put; every other point moves up the spiral
+    to the next seat occupied by the moving group.  Exactly one mover (the
+    one on the group's highest seat) gains a level, so the total level
+    rises by one per application.  Rank 1 moves everything and coincides
+    with `shift_all`.  Computed in closed form: each mover's sub-index
+    (see the module docstring) rises by k.
     """
     d = x.d
     if not 1 <= j <= d:
         raise ValueError(f"operator rank must lie in [1, {d}], got {j}")
-    moving = sorted_slots(x)[j - 1 :]
-    seats = frozenset(s.seat for s in moving)
-    levels = list(x.levels)
-    for s in moving:
-        target = shift_slot(s, 1, d)
-        while target.seat not in seats:
-            target = shift_slot(target, 1, d)
-        levels[target.seat - 1] = target.level
-    return Config(tuple(levels))
+    if k < 0:
+        raise ValueError(f"applications must be nonnegative, got {k}")
+    levels = x.levels
+    seats = sorted(_height_order(levels)[j - 1 :])
+    m = len(seats)
+    out = list(levels)
+    for rank, seat in enumerate(seats):
+        level, landing = divmod(levels[seat] * m + rank + k, m)
+        out[seats[landing]] = level
+    return Config(tuple(out))
 
 
 def act(a: MultiIndex, x: Config) -> Config:
     """Apply the rank-j operator a_j times, for every j.
 
     The operators commute, so the application order is immaterial; ranks are
-    applied from d down to 1.
+    applied from d down to 1, each in one closed-form `shift_from` call, so
+    the cost is O(d^2 log d) whatever the exponents.
     """
     if a.d != x.d:
         raise ValueError(f"dimension mismatch: index has {a.d} components, configuration {x.d}")
     out = x
     for j in range(x.d, 0, -1):
-        for _ in range(a.steps[j - 1]):
-            out = shift_from(out, j)
+        if a.steps[j - 1]:
+            out = shift_from(out, j, a.steps[j - 1])
     return out
 
 
@@ -192,26 +206,34 @@ def decompose(x: Config) -> MultiIndex:
 
     Recovered rank by rank: only the rank-1 operator moves the lowest point,
     which forces a_1; once a_1..a_{r-1} are applied, only the rank-r
-    operator moves the r-th lowest point, so a_r is the number of
-    applications that land it on the r-th lowest point of x.  Each inner
-    search is bounded by the spiral position of its target; exceeding the
-    bound is an implementation defect, not bad input.
+    operator moves the r-th lowest point, and it is always the mover of
+    least sub-index.  So a_r is the sub-index of the r-th lowest point of x
+    minus that of the current r-th lowest point, in the current moving
+    group.  That costs O(d^2 log d) whatever the exponents.  A goal outside
+    the moving group's seats, or below its current point, is an
+    implementation defect, not bad input.
     """
     d = x.d
-    target = sorted_slots(x)
+    goals = _height_order(x.levels)
     cur = Config.origin(d)
     steps = []
     for r in range(1, d + 1):
-        goal = target[r - 1]
-        bound = slot_index(goal, d)
-        count = 0
-        while sorted_slots(cur)[r - 1] != goal:
-            cur = shift_from(cur, r)
-            count += 1
-            if count > bound:
-                raise InternalInvariantError(
-                    f"matching the rank-{r} point of {x.levels} took more than {bound} steps"
-                )
+        ranked = _height_order(cur.levels)
+        seats = sorted(ranked[r - 1 :])
+        m = len(seats)
+        goal, lowest = goals[r - 1], ranked[r - 1]
+        if goal not in seats:
+            raise InternalInvariantError(
+                f"the rank-{r} point of {x.levels} is on seat {goal + 1}, "
+                f"outside the moving seats {[s + 1 for s in seats]}"
+            )
+        count = (x.levels[goal] - cur.levels[lowest]) * m + seats.index(goal) - seats.index(lowest)
+        if count < 0:
+            raise InternalInvariantError(
+                f"the rank-{r} point of {x.levels} lies below the moving group of {cur.levels}"
+            )
+        if count:
+            cur = shift_from(cur, r, count)
         steps.append(count)
     return MultiIndex(tuple(steps))
 

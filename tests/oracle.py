@@ -1,0 +1,70 @@
+"""Slow reference implementations of the spiral shifting operators.
+
+They follow the definition literally: each mover walks up the spiral one
+position at a time until it reaches a seat of the moving group, and powers
+and actions are loops of single applications.  The closed forms in
+`spiralshift.cylinder` are tested against them; they share only the value
+types and the linear spiral index.
+"""
+
+from spiralshift import (
+    Config,
+    MultiIndex,
+    Slot,
+    compositions,
+    slot_from_index,
+    slot_index,
+    sorted_slots,
+)
+
+
+def shift_slot(slot: Slot, steps: int, d: int) -> Slot:
+    """Move `steps` positions up the spiral; seat d wraps to seat 1, one level up."""
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    return slot_from_index(slot_index(slot, d) + steps, d)
+
+
+def landing(slot: Slot, seats, d: int) -> Slot:
+    """The first cylinder point above `slot` whose seat is in `seats`."""
+    target = shift_slot(slot, 1, d)
+    while target.seat not in seats:
+        target = shift_slot(target, 1, d)
+    return target
+
+
+def shift_from(x: Config, j: int) -> Config:
+    """One application of the rank-j operator, seat by seat."""
+    d = x.d
+    if not 1 <= j <= d:
+        raise ValueError(f"operator rank must lie in [1, {d}], got {j}")
+    moving = sorted_slots(x)[j - 1 :]
+    seats = frozenset(s.seat for s in moving)
+    levels = list(x.levels)
+    for s in moving:
+        target = landing(s, seats, d)
+        levels[target.seat - 1] = target.level
+    return Config(tuple(levels))
+
+
+def act(a: MultiIndex, x: Config) -> Config:
+    """Apply the rank-j operator a_j times, one application at a time."""
+    out = x
+    for j, count in enumerate(a.steps, start=1):
+        for _ in range(count):
+            out = shift_from(out, j)
+    return out
+
+
+def preimages(d: int, n: int) -> dict[Config, list[MultiIndex]]:
+    """Every exponent vector of total n, grouped by its image at the origin.
+
+    Each application raises the size by one, so these are all exponents
+    reaching the configurations of size n.
+    """
+    origin = Config.origin(d)
+    found: dict[Config, list[MultiIndex]] = {}
+    for steps in compositions(n, d):
+        a = MultiIndex(steps)
+        found.setdefault(act(a, origin), []).append(a)
+    return found

@@ -1,6 +1,10 @@
 """Command-line surface: outputs, exit codes, determinism, serialization."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,12 @@ def test_decompose_origin(capsys):
     code, out, _ = run(capsys, ["decompose", "--d", "2", "--x", "0,0"])
     assert code == 0
     assert out.strip() == "0,0"
+
+
+def test_decompose_huge_exponent_is_immediate(capsys):
+    code, out, _ = run(capsys, ["decompose", "--d", "2", "--x", "1000000000,0"])
+    assert code == 0
+    assert out.strip() == "1,999999999"
 
 
 def test_stats_worked_example(capsys):
@@ -145,6 +155,21 @@ def test_malformed_tuple_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--d", "3", "--j", "2", "--x", "0,2,1,0,1"],
+        ["decompose", "--d", "7", "--x", "1,0,2"],
+        ["stats", "--d", "2", "--x", "1,0,2"],
+    ],
+)
+def test_width_mismatch_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "does not match" in err
+
+
 def test_rank_out_of_range_exits_2(capsys):
     code, _, _ = run(capsys, ["apply", "--d", "2", "--j", "5", "--x", "0,0"])
     assert code == 2
@@ -173,3 +198,19 @@ def test_verify_quick_profile(capsys):
     lines = out.strip().splitlines()
     assert len(lines) >= 11
     assert all(line.startswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize("module", ["spiralshift", "spiralshift.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "decompose", "--d", "2", "--x", "2,0"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1,1"

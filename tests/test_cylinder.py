@@ -1,8 +1,9 @@
 """Configurations, the spiral successor, and the shifting operators.
 
 The independent oracle for everything order-related is the exact height
-level + seat/d computed with fractions; the oracle for decompose is a full
-scan over exponents of the right total.
+level + seat/d computed with fractions.  The closed-form operator powers,
+`act` and `decompose` are checked against the seat-by-seat walk in
+`oracle.py` and against a full scan over exponents of the right total.
 """
 
 from fractions import Fraction
@@ -23,12 +24,14 @@ from spiralshift import (
     is_tight,
     shift_all,
     shift_from,
-    shift_slot,
     size,
     slot_from_index,
     slot_index,
     sorted_slots,
 )
+from spiralshift import cylinder
+import oracle
+from oracle import shift_slot
 from strategies import config_with_exponents, config_with_rank, configs
 
 
@@ -153,6 +156,8 @@ class TestShiftFrom:
             shift_from(Config((0, 0)), 0)
         with pytest.raises(ValueError):
             shift_from(Config((0, 0)), 3)
+        with pytest.raises(ValueError):
+            shift_from(Config((0, 0)), 1, -1)
 
     @given(config_with_rank())
     def test_fixes_the_lowest_points(self, data):
@@ -167,16 +172,19 @@ class TestShiftFrom:
         ranked = sorted_slots(x)
         moving = ranked[j - 1 :]
         seats = {s.seat for s in moving}
-
-        def landing(s):
-            t = shift_slot(s, 1, x.d)
-            while t.seat not in seats:
-                t = shift_slot(t, 1, x.d)
-            return t
-
-        images = [landing(s) for s in moving]
+        images = [oracle.landing(s, seats, x.d) for s in moving]
         assert images == sorted(images)
         assert sorted_slots(shift_from(x, j)) == ranked[: j - 1] + tuple(images)
+
+    def test_powers_match_oracle_steps_exhaustive_small(self):
+        for d in range(1, 5):
+            for n in range(7):
+                for x in configs_with_size(d, n):
+                    for j in range(1, d + 1):
+                        y = x
+                        for k in range(6):
+                            assert shift_from(x, j, k) == y, (x.levels, j, k)
+                            y = oracle.shift_from(y, j)
 
     def test_commutation_exhaustive_small(self):
         for d in range(1, 4):
@@ -201,6 +209,15 @@ class TestAct:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             act(MultiIndex((1, 0, 0)), Config.origin(2))
+
+    def test_matches_oracle_loop_exhaustive_small(self):
+        for d in range(1, 5):
+            for n in range(7):
+                for x in configs_with_size(d, n):
+                    for total in range(4):
+                        for steps in compositions(total, d):
+                            a = MultiIndex(steps)
+                            assert act(a, x) == oracle.act(a, x), (steps, x.levels)
 
     @given(config_with_exponents(max_step=2), st.data())
     @settings(deadline=None)
@@ -237,6 +254,19 @@ class TestDecompose:
     @settings(deadline=None)
     def test_round_trip(self, x):
         assert act(decompose(x), Config.origin(x.d)) == x
+
+    def test_matches_oracle_search_exhaustive_small(self):
+        for d in range(1, 5):
+            for n in range(7):
+                found = oracle.preimages(d, n)
+                assert set(found) == set(configs_with_size(d, n))
+                for x, hits in found.items():
+                    assert hits == [decompose(x)], x.levels
+
+    @given(st.lists(st.integers(0, 10**12), min_size=1, max_size=6))
+    def test_inverts_act_at_huge_exponents(self, steps):
+        a = MultiIndex(tuple(steps))
+        assert decompose(act(a, Config.origin(a.d))) == a
 
     def test_freeness_at_any_base_point(self):
         for d in (1, 2, 3):
@@ -285,6 +315,12 @@ def test_decompose_bound_is_an_internal_defect_guard():
     # The guard cannot fire through the public API; it exists to distinguish
     # implementation bugs from bad input.
     assert issubclass(InternalInvariantError, RuntimeError)
+
+
+def test_decompose_guard_fires_when_the_operator_misbehaves(monkeypatch):
+    monkeypatch.setattr(cylinder, "shift_from", lambda x, j, k=1: x)
+    with pytest.raises(InternalInvariantError):
+        decompose(Config((1, 0)))
 
 
 def test_multiindex_validation():

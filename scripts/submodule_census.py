@@ -9,13 +9,7 @@ stratum size q**W(x), and the observed brute-force count.
 
 import argparse
 
-from spiralshift import (
-    configs_with_size,
-    enumerate_submodules,
-    leading_module,
-    product_formula,
-    weight,
-)
+from spiralshift import Census, enumerate_submodules, window_depth
 
 
 def main():
@@ -25,27 +19,19 @@ def main():
     parser.add_argument("--N", type=int, default=3)
     args = parser.parse_args()
 
-    submodules = enumerate_submodules(args.q, args.d, args.N)
-    predicted = product_formula(args.d, args.N).eval_q(args.q)
+    submodules = enumerate_submodules(args.q, args.d, window_depth(args.N))
+    census = Census.tally(args.q, args.d, args.N, submodules)
 
     print(f"T-stable census for q={args.q}, d={args.d}, depth={args.N}")
-    for n in range(args.N + 1):
-        observed = sum(1 for m in submodules if m.codim == n)
-        mark = "ok" if observed == predicted.get(n, 0) else "MISMATCH"
-        print(f"  colength {n}: observed {observed}, predicted {predicted.get(n, 0)} [{mark}]")
+    for n, (observed, predicted) in enumerate(zip(census.observed(), census.predicted())):
+        mark = "ok" if observed == predicted else "MISMATCH"
+        print(f"  colength {n}: observed {observed}, predicted {predicted} [{mark}]")
 
     for n in range(args.N + 1):
         print(f"strata at colength {n}:")
-        tallies = {}
-        for m in submodules:
-            if m.codim == n:
-                x = leading_module(m)
-                tallies[x] = tallies.get(x, 0) + 1
-        for x in configs_with_size(args.d, n):
-            w = weight(x)
-            observed = tallies.get(x, 0)
-            mark = "ok" if observed == args.q**w else "MISMATCH"
-            print(f"  x={x.levels} W={w} predicted {args.q ** w} observed {observed} [{mark}]")
+        for x, w, predicted, observed in census.stratum_rows(n):
+            mark = "ok" if observed == predicted else "MISMATCH"
+            print(f"  x={x.levels} W={w} predicted {predicted} observed {observed} [{mark}]")
 
 
 if __name__ == "__main__":

@@ -34,10 +34,10 @@ from .series import (
 from .stats import content, multiindex_content, size, weight, weight_by_seats
 from .submodules import (
     DEFAULT_CAP,
+    Census,
     enumerate_stratum,
     enumerate_submodules,
     hermite_enumerate,
-    leading_module,
 )
 
 
@@ -281,12 +281,9 @@ def check_submodule_counts(profile: Profile) -> CheckResult:
     """Brute-force colength totals match the product series at numeric q."""
     started = time.perf_counter()
     for q, d, depth in profile.module_grid:
-        observed = [0] * (depth + 1)
-        for m in enumerate_submodules(q, d, depth, cap=profile.cap):
-            if m.codim <= depth:
-                observed[m.codim] += 1
-        predicted_by_t = product_formula(d, depth).eval_q(q)
-        predicted = [predicted_by_t.get(n, 0) for n in range(depth + 1)]
+        submodules = enumerate_submodules(q, d, depth, cap=profile.cap)
+        census = Census.tally(q, d, depth, submodules)
+        observed, predicted = census.observed(), census.predicted()
         if observed != predicted:
             return CheckResult(
                 "submodule counts by colength",
@@ -308,18 +305,17 @@ def check_stratum_law(profile: Profile) -> CheckResult:
     started = time.perf_counter()
     for q, d, depth in profile.module_grid:
         submodules = enumerate_submodules(q, d, depth, cap=profile.cap)
+        census = Census.tally(q, d, depth, submodules)
+        unlabelled = dict(census.strata)
         for n in range(depth + 1):
-            colength_class = [m for m in submodules if m.codim == n]
-            by_label: dict[Config, set] = {}
-            for m in colength_class:
-                by_label.setdefault(leading_module(m), set()).add(m)
-            for x in configs_with_size(d, n):
-                brute = by_label.pop(x, set())
-                if len(brute) != q ** weight(x):
+            colength_class: set = set()
+            for x, _, predicted, observed in census.stratum_rows(n):
+                brute = set(unlabelled.pop(x, ()))
+                if observed != predicted:
                     return CheckResult(
                         "stratum law",
                         False,
-                        f"stratum {x.levels} at q={q}: {len(brute)} vs {q ** weight(x)}",
+                        f"stratum {x.levels} at q={q}: {observed} vs {predicted}",
                         time.perf_counter() - started,
                     )
                 direct = enumerate_stratum(x, q, depth=depth, cap=profile.cap)
@@ -330,21 +326,22 @@ def check_stratum_law(profile: Profile) -> CheckResult:
                         f"generator enumeration disagrees on stratum {x.levels} at q={q}",
                         time.perf_counter() - started,
                     )
-            if by_label:
-                return CheckResult(
-                    "stratum law",
-                    False,
-                    f"unlabelled submodules at q={q}, d={d}, colength {n}",
-                    time.perf_counter() - started,
-                )
+                colength_class |= brute
             matrices = hermite_enumerate(q, d, n, depth=depth, cap=profile.cap)
-            if len(set(matrices)) != len(matrices) or set(matrices) != set(colength_class):
+            if len(set(matrices)) != len(matrices) or set(matrices) != colength_class:
                 return CheckResult(
                     "stratum law",
                     False,
                     f"matrix enumeration disagrees at q={q}, d={d}, colength {n}",
                     time.perf_counter() - started,
                 )
+        if unlabelled:
+            return CheckResult(
+                "stratum law",
+                False,
+                f"unlabelled submodules at q={q}, d={d}, profiles {list(unlabelled)}",
+                time.perf_counter() - started,
+            )
     grids = ", ".join(f"q={q},d={d},N={n}" for q, d, n in profile.module_grid)
     return CheckResult("stratum law", True, grids, time.perf_counter() - started)
 

@@ -12,7 +12,7 @@ import sys
 import time
 
 from .checks import FULL, QUICK, run_profile
-from .cylinder import Config, MultiIndex, configs_with_size, decompose, shift_from
+from .cylinder import Config, MultiIndex, decompose, shift_from
 from .series import (
     BiPoly,
     GeneratorSet,
@@ -26,9 +26,10 @@ from .series import (
 from .stats import size, weight
 from .submodules import (
     DEFAULT_CAP,
+    Census,
     FeasibilityError,
     enumerate_submodules,
-    leading_module,
+    window_depth,
 )
 
 SCHEMA = "spiralshift.output/1"
@@ -165,14 +166,16 @@ def cmd_orbit(args) -> int:
     return 0
 
 
+def census(args, n: int) -> Census:
+    """The census up to colength n at the command's --q, --d and --cap."""
+    submodules = enumerate_submodules(args.q, args.d, window_depth(n), cap=args.cap)
+    return Census.tally(args.q, args.d, n, submodules)
+
+
 def cmd_count(args) -> int:
     started = time.perf_counter()
-    observed = [0] * (args.N + 1)
-    for m in enumerate_submodules(args.q, args.d, args.N, cap=args.cap):
-        if m.codim <= args.N:
-            observed[m.codim] += 1
-    predicted_by_t = product_formula(args.d, args.N).eval_q(args.q)
-    predicted = [predicted_by_t.get(n, 0) for n in range(args.N + 1)]
+    totals = census(args, args.N)
+    observed, predicted = totals.observed(), totals.predicted()
     lines = [
         f"n={n} observed={o} predicted={p}"
         for n, (o, p) in enumerate(zip(observed, predicted))
@@ -190,23 +193,10 @@ def cmd_count(args) -> int:
 
 def cmd_strata(args) -> int:
     started = time.perf_counter()
-    depth = max(args.n, 1)
-    observed: dict[Config, int] = {}
-    for m in enumerate_submodules(args.q, args.d, depth, cap=args.cap):
-        if m.codim == args.n:
-            x = leading_module(m)
-            observed[x] = observed.get(x, 0) + 1
-    rows = []
-    for x in configs_with_size(args.d, args.n):
-        w = weight(x)
-        rows.append(
-            {
-                "x": list(x.levels),
-                "weight": w,
-                "predicted": args.q**w,
-                "observed": observed.get(x, 0),
-            }
-        )
+    rows = [
+        {"x": list(x.levels), "weight": w, "predicted": p, "observed": o}
+        for x, w, p, o in census(args, args.n).stratum_rows(args.n)
+    ]
     lines = [
         "x=({}) W={} predicted={} observed={}".format(
             ",".join(str(v) for v in row["x"]),
@@ -242,6 +232,13 @@ def cmd_verify(args) -> int:
     }
     emit(args, "verify", {"profile": args.profile}, payload, lines, started)
     return 0 if all(r.passed for r in results) else 5
+
+
+def nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,14 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", parents=[common], help="submodule totals by colength")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=nonnegative, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("strata", parents=[common], help="stratum table at one colength")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=nonnegative, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=cmd_strata)
 

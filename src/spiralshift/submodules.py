@@ -8,31 +8,34 @@ exactly to the finite-colength submodules of the untruncated module that
 contain T^N times everything, so enumerating them is an oracle for
 submodule counts by colength up to N.
 
-Two monomial orders are used: the height order (level, then seat), whose
-reduced echelon bases are the canonical identity of a submodule and whose
-per-seat pivot profile is the leading-term stratum label, and the
-seat-major order (seat, then level), under which the strata are the
-diagonals of the lower-triangular generator matrices enumerated by
-`hermite_strata`.
+Two monomial orders are used, each given as the sort key of a slot: the
+height order `hlex_key` (level, then seat), whose reduced echelon bases are
+the canonical identity of a submodule and whose per-seat pivot profile is
+the leading-term stratum label, and the seat-major order `lex_key` (seat,
+then level), under which the strata are the diagonals of the
+lower-triangular generator matrices enumerated by `hermite_strata`.
+
+`Census` groups one brute-force enumeration by stratum label; the colength
+totals and the stratum sizes, with their predictions, are read off it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .cylinder import (
     Config,
     InternalInvariantError,
     Slot,
     compositions,
+    configs_with_size,
     slot_from_index,
     slot_index,
 )
-
-HLEX = "hlex"
-LEX = "lex"
+from .series import product_formula
+from .stats import size, weight
 
 DEFAULT_CAP = 2**20
 
@@ -52,40 +55,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """Arithmetic modulo a prime; values are plain ints in [0, q)."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.q):
-            raise ValueError(f"modulus must be prime, got {self.q}")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, -1, self.q)
-
-
 def hlex_key(slot: Slot) -> tuple[int, int]:
     return (slot.level, slot.seat)
 
 
 def lex_key(slot: Slot) -> tuple[int, int]:
     return (slot.seat, slot.level)
+
+
+# A monomial order, given as the sort key of a slot: hlex_key or lex_key.
+MonomialKey = Callable[[Slot], tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -101,7 +80,8 @@ class ModuleSpace:
     depth: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "field", PrimeField(self.q))
+        if not is_prime(self.q):
+            raise ValueError(f"modulus must be prime, got {self.q}")
         if self.d < 1:
             raise ValueError("width d must be positive")
         if self.depth < 1:
@@ -121,13 +101,9 @@ class ModuleSpace:
             raise ValueError(f"flat index {index} outside window")
         return slot_from_index(index, self.d)
 
-    def scan_order(self, order: str) -> tuple[int, ...]:
-        """Flat positions listed from lowest monomial up, in the given order."""
-        if order == HLEX:
-            return tuple(range(self.dim))
-        if order == LEX:
-            return tuple(sorted(range(self.dim), key=lambda p: lex_key(self.slot_of(p))))
-        raise ValueError(f"unknown monomial order {order!r}")
+    def scan_order(self, key: MonomialKey) -> tuple[int, ...]:
+        """Flat positions listed from lowest monomial up, in the order `key` sorts slots."""
+        return tuple(sorted(range(self.dim), key=lambda p: key(self.slot_of(p))))
 
     def zero_vector(self) -> tuple[int, ...]:
         return (0,) * self.dim
@@ -146,15 +122,15 @@ class ModuleSpace:
 
 
 def echelonize(
-    space: ModuleSpace, vectors: Iterable[tuple[int, ...]], order: str = HLEX
+    space: ModuleSpace, vectors: Iterable[tuple[int, ...]], key: MonomialKey = hlex_key
 ) -> tuple[tuple[int, ...], ...]:
-    """Reduced echelon basis of the span, canonical for the given order.
+    """Reduced echelon basis of the span, canonical for the order `key` sorts slots in.
 
     Each row's pivot is its lowest nonzero monomial; pivots are normalized
     to 1 and cleared from every other row.  Rows come back sorted by pivot.
     """
     q = space.q
-    seq = space.scan_order(order)
+    seq = space.scan_order(key)
     pivots: dict[int, list[int]] = {}
     for vec in vectors:
         v = list(vec)
@@ -194,31 +170,24 @@ def _reduce(
 
 @dataclass(frozen=True)
 class SubmoduleBasis:
-    """Canonical reduced echelon basis of a subspace of a module window."""
+    """Canonical height-order reduced echelon basis of a subspace of a module window."""
 
     space: ModuleSpace
-    order: str
     rows: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_vectors(
-        cls, space: ModuleSpace, vectors: Iterable[tuple[int, ...]], order: str = HLEX
+        cls, space: ModuleSpace, vectors: Iterable[tuple[int, ...]]
     ) -> "SubmoduleBasis":
-        return cls(space, order, echelonize(space, vectors, order))
+        return cls(space, echelonize(space, vectors))
 
     @property
     def codim(self) -> int:
         return self.space.dim - len(self.rows)
 
     def pivot_positions(self) -> tuple[int, ...]:
-        seq = self.space.scan_order(self.order)
-        return tuple(
-            seq[next(rank for rank in range(self.space.dim) if row[seq[rank]])]
-            for row in self.rows
-        )
-
-    def pivot_slots(self) -> tuple[Slot, ...]:
-        return tuple(self.space.slot_of(p) for p in self.pivot_positions())
+        """Flat position of each row's pivot: in height order, its first nonzero entry."""
+        return tuple(next(p for p, c in enumerate(row) if c) for row in self.rows)
 
     def contains(self, vec: tuple[int, ...]) -> bool:
         remainder = _reduce(self.space, self.rows, self.pivot_positions(), vec)
@@ -228,14 +197,14 @@ class SubmoduleBasis:
         return all(self.contains(self.space.mul_by_t(row)) for row in self.rows)
 
 
-def pivot_profile(m: SubmoduleBasis, order: str = HLEX) -> tuple[int, ...]:
-    """Per seat, the least pivot level of the basis in `order` (depth if none)."""
+def pivot_profile(m: SubmoduleBasis, key: MonomialKey = hlex_key) -> tuple[int, ...]:
+    """Per seat, the least pivot level of the basis echelonized under `key` (depth if none)."""
     space = m.space
-    rows = m.rows if m.order == order else echelonize(space, m.rows, order)
-    seq = space.scan_order(order)
+    # Bases are stored in height-order echelon form already.
+    rows = m.rows if key is hlex_key else echelonize(space, m.rows, key)
     lows = [space.depth] * space.d
     for row in rows:
-        slot = space.slot_of(seq[next(r for r in range(space.dim) if row[seq[r]])])
+        slot = min((space.slot_of(p) for p, c in enumerate(row) if c), key=key)
         lows[slot.seat - 1] = min(lows[slot.seat - 1], slot.level)
     return tuple(lows)
 
@@ -251,7 +220,7 @@ def leading_module(m: SubmoduleBasis) -> Config:
         raise ValueError(
             f"colength {m.codim} exceeds window depth {m.space.depth}; deepen the window"
         )
-    return Config(pivot_profile(m, HLEX))
+    return Config(pivot_profile(m))
 
 
 def _check_cap(q: int, d: int, depth: int, cap: int) -> None:
@@ -283,54 +252,101 @@ def _echelon_candidates(
         yield tuple(rows)
 
 
-def _pivot_sets(space: ModuleSpace, prune: bool) -> Iterator[tuple[int, ...]]:
-    if prune:
-        # Multiplying by T pushes a vector's lowest monomial one level up in
-        # the same seat, so the pivot levels of a T-stable subspace fill a
-        # top range of levels in each seat.
-        for profile in itertools.product(range(space.depth + 1), repeat=space.d):
-            yield tuple(
-                space.index_of(Slot(seat, level))
-                for seat in range(1, space.d + 1)
-                for level in range(profile[seat - 1], space.depth)
-            )
-    else:
-        for k in range(space.dim + 1):
-            yield from itertools.combinations(range(space.dim), k)
+def _pivot_sets(space: ModuleSpace) -> Iterator[tuple[int, ...]]:
+    """Height-order pivot positions of every profile a T-stable subspace can carry.
+
+    Multiplying by T pushes a vector's lowest monomial one level up in the
+    same seat, so the pivot levels of a T-stable subspace fill a top range
+    of levels in each seat.
+    """
+    for profile in itertools.product(range(space.depth + 1), repeat=space.d):
+        yield tuple(
+            space.index_of(Slot(seat, level))
+            for seat in range(1, space.d + 1)
+            for level in range(profile[seat - 1], space.depth)
+        )
 
 
 def enumerate_submodules(
-    q: int, d: int, depth: int, cap: int = DEFAULT_CAP, prune: bool = True
+    q: int, d: int, depth: int, cap: int = DEFAULT_CAP
 ) -> list[SubmoduleBasis]:
     """Every T-stable subspace of the width-d, depth-N window, canonical form.
 
-    With prune=True only pivot profiles a T-stable subspace can carry are
-    scanned; prune=False scans every pivot set of every size, which is the
-    slow validation oracle for the smallest windows.  Output is sorted.
+    Only the pivot profiles a T-stable subspace can carry are scanned; the
+    tests compare against a scan of every pivot set.  Output is sorted.
     """
     _check_cap(q, d, depth, cap)
     space = ModuleSpace(q, d, depth)
     found = []
-    for pivot_positions in _pivot_sets(space, prune):
+    for pivot_positions in _pivot_sets(space):
         for rows in _echelon_candidates(space, pivot_positions):
-            basis = SubmoduleBasis(space, HLEX, rows)
+            basis = SubmoduleBasis(space, rows)
             if basis.is_t_stable():
                 found.append(basis)
     found.sort(key=lambda m: (m.codim, m.rows))
     return found
 
 
-def count_by_colength(q: int, d: int, depth: int, cap: int = DEFAULT_CAP) -> list[int]:
-    """Census totals: entry n counts the T-stable subspaces of colength n.
+def window_depth(colength: int, depth: int | None = None) -> int:
+    """The window depth for submodules of colength up to `colength`.
 
-    Complete for n <= depth, since a colength-n submodule contains T^n times
-    the ambient module and is therefore visible in the window.
+    A colength-n submodule contains T^n times the ambient module, so a
+    window of depth n sees it whole.  Without `depth` this is
+    max(colength, 1); a given depth below that raises ValueError.
     """
-    counts = [0] * (depth + 1)
-    for m in enumerate_submodules(q, d, depth, cap=cap):
-        if m.codim <= depth:
-            counts[m.codim] += 1
-    return counts
+    if colength < 0:
+        raise ValueError(f"colength must be nonnegative, got {colength}")
+    least = max(colength, 1)
+    if depth is None:
+        return least
+    if depth < least:
+        raise ValueError(f"window depth {depth} too shallow for colength {colength}")
+    return depth
+
+
+@dataclass(frozen=True)
+class Census:
+    """The submodules of colength at most n, grouped by leading-term profile.
+
+    `strata[x]` lists the submodules whose leading module is x, so the size
+    of x is their colength.  The two laws read off it: the totals by
+    colength are the product series at numeric q, and stratum x holds
+    q**W(x) submodules.
+    """
+
+    q: int
+    d: int
+    n: int
+    strata: dict[Config, list[SubmoduleBasis]]
+
+    @classmethod
+    def tally(cls, q: int, d: int, n: int, submodules: Iterable[SubmoduleBasis]) -> "Census":
+        """Group the output of enumerate_submodules(q, d, window_depth(n))."""
+        strata: dict[Config, list[SubmoduleBasis]] = {}
+        for m in submodules:
+            if m.codim <= n:
+                strata.setdefault(leading_module(m), []).append(m)
+        return cls(q, d, n, strata)
+
+    def observed(self) -> list[int]:
+        """Entry k counts the submodules of colength k."""
+        totals = [0] * (self.n + 1)
+        for x, group in self.strata.items():
+            totals[size(x)] += len(group)
+        return totals
+
+    def predicted(self) -> list[int]:
+        """Entry k is the t^k coefficient of the product series at numeric q."""
+        by_t = product_formula(self.d, self.n).eval_q(self.q)
+        return [by_t.get(k, 0) for k in range(self.n + 1)]
+
+    def stratum_rows(self, colength: int) -> list[tuple[Config, int, int, int]]:
+        """(x, W(x), predicted q**W(x), observed) for each profile x of that size."""
+        rows = []
+        for x in configs_with_size(self.d, colength):
+            w = weight(x)
+            rows.append((x, w, self.q**w, len(self.strata.get(x, ()))))
+        return rows
 
 
 def _module_closure(
@@ -357,11 +373,7 @@ def enumerate_stratum(
     leading level.  The census tests pin the count to q**weight(x) and the
     output to the brute-force stratum.
     """
-    colength = sum(x.levels)
-    if depth is None:
-        depth = colength + 1
-    if depth < max(colength, 1):
-        raise ValueError(f"window depth {depth} too shallow for colength {colength}")
+    depth = window_depth(sum(x.levels), depth)
     _check_cap(q, x.d, depth, cap)
     space = ModuleSpace(q, x.d, depth)
     leads = [Slot(i, n) for i, n in enumerate(x.levels, start=1)]
@@ -407,10 +419,7 @@ def hermite_strata(
     The census tests pin the groups to be disjoint and to cover the
     colength class exactly.
     """
-    if depth is None:
-        depth = max(colength, 1)
-    if depth < max(colength, 1):
-        raise ValueError(f"window depth {depth} too shallow for colength {colength}")
+    depth = window_depth(colength, depth)
     _check_cap(q, d, depth, cap)
     space = ModuleSpace(q, d, depth)
     out: dict[tuple[int, ...], list[SubmoduleBasis]] = {}

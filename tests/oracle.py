@@ -1,16 +1,23 @@
-"""Slow reference implementations of the spiral shifting operators.
+"""Slow reference implementations of the spiral shifting operators and the census.
 
-They follow the definition literally: each mover walks up the spiral one
-position at a time until it reaches a seat of the moving group, and powers
-and actions are loops of single applications.  The closed forms in
-`spiralshift.cylinder` are tested against them; they share only the value
-types and the linear spiral index.
+The operators follow the definition literally: each mover walks up the
+spiral one position at a time until it reaches a seat of the moving group,
+and powers and actions are loops of single applications.  The closed forms
+in `spiralshift.cylinder` are tested against them; they share only the
+value types and the linear spiral index.
+
+The census reference scans every reduced echelon form of every pivot set
+and tests T-stability by listing the span, so it shares nothing with
+`enumerate_submodules` but the basis value type.
 """
+
+import itertools
 
 from spiralshift import (
     Config,
     MultiIndex,
     Slot,
+    SubmoduleBasis,
     compositions,
     slot_from_index,
     slot_index,
@@ -67,4 +74,39 @@ def preimages(d: int, n: int) -> dict[Config, list[MultiIndex]]:
     for steps in compositions(n, d):
         a = MultiIndex(steps)
         found.setdefault(act(a, origin), []).append(a)
+    return found
+
+
+def _echelon_forms(q: int, dim: int):
+    """Every reduced echelon row tuple in F_q^dim, pivot sets of every size."""
+    for k in range(dim + 1):
+        for pivots in itertools.combinations(range(dim), k):
+            free = [[c for c in range(p + 1, dim) if c not in pivots] for p in pivots]
+            for assign in itertools.product(range(q), repeat=sum(map(len, free))):
+                values = iter(assign)
+                rows = []
+                for p, cells in zip(pivots, free):
+                    row = [0] * dim
+                    row[p] = 1
+                    for c in cells:
+                        row[c] = next(values)
+                    rows.append(tuple(row))
+                yield tuple(rows)
+
+
+def t_stable_subspaces(space) -> list[SubmoduleBasis]:
+    """Every T-stable subspace of the window, in `enumerate_submodules` order.
+
+    T shifts a flat vector d places up and drops the top level.
+    """
+    q, d, dim = space.q, space.d, space.dim
+    found = []
+    for rows in _echelon_forms(q, dim):
+        span = {
+            tuple(sum(c * row[i] for c, row in zip(coeffs, rows)) % q for i in range(dim))
+            for coeffs in itertools.product(range(q), repeat=len(rows))
+        }
+        if all((0,) * d + row[: dim - d] in span for row in rows):
+            found.append(SubmoduleBasis(space, rows))
+    found.sort(key=lambda m: (m.codim, m.rows))
     return found

@@ -8,7 +8,7 @@ magnitude below the limits.
 
 import time
 
-from spiralshift import Config, count_by_colength, shift_from
+from spiralshift import Config, shift_from
 from spiralshift.checks import (
     FULL,
     check_commutation,
@@ -24,7 +24,7 @@ from spiralshift.checks import (
     check_worked_example,
 )
 
-from test_submodules import complete_homogeneous
+from test_submodules import complete_homogeneous, count_by_colength
 
 
 def report(number, result, limit=None):

@@ -141,6 +141,28 @@ def test_strata_table(capsys):
     ]
 
 
+def test_count_at_colength_zero(capsys):
+    code, out, _ = run(capsys, ["count", "--q", "2", "--d", "2", "--N", "0"])
+    assert code == 0
+    assert out.splitlines() == ["n=0 observed=1 predicted=1"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["count", "--q", "2", "--d", "2", "--N", "-1"], "--N"),
+        (["strata", "--q", "2", "--d", "2", "--n", "-1"], "--n"),
+    ],
+)
+def test_negative_colength_exits_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be nonnegative" in captured.err
+
+
 def test_cap_exceeded_exits_4(capsys):
     code, _, err = run(
         capsys, ["count", "--q", "2", "--d", "3", "--N", "3", "--cap", "256"]
@@ -214,3 +236,32 @@ def test_python_dash_m_runs_the_cli(module):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "1,1"
+
+
+def test_census_script_table():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "submodule_census.py"), "--q", "2", "--d", "2", "--N", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "T-stable census for q=2, d=2, depth=2",
+        "  colength 0: observed 1, predicted 1 [ok]",
+        "  colength 1: observed 3, predicted 3 [ok]",
+        "  colength 2: observed 7, predicted 7 [ok]",
+        "strata at colength 0:",
+        "  x=(0, 0) W=0 predicted 1 observed 1 [ok]",
+        "strata at colength 1:",
+        "  x=(0, 1) W=1 predicted 2 observed 2 [ok]",
+        "  x=(1, 0) W=0 predicted 1 observed 1 [ok]",
+        "strata at colength 2:",
+        "  x=(0, 2) W=2 predicted 4 observed 4 [ok]",
+        "  x=(1, 1) W=0 predicted 1 observed 1 [ok]",
+        "  x=(2, 0) W=1 predicted 2 observed 2 [ok]",
+    ]

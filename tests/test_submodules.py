@@ -2,7 +2,7 @@
 
 Independent oracles: Galois numbers (all subspaces, counted by Gaussian
 binomials), complete homogeneous sums for the colength totals, and the
-unpruned all-pivot-sets enumeration behind the `prune` flag.
+all-pivot-sets scan `oracle.t_stable_subspaces`.
 """
 
 import itertools
@@ -12,23 +12,27 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from spiralshift import (
+    Census,
     Config,
     FeasibilityError,
     ModuleSpace,
-    PrimeField,
     Slot,
     SubmoduleBasis,
     configs_with_size,
-    count_by_colength,
     echelonize,
     enumerate_stratum,
     enumerate_submodules,
     hermite_enumerate,
     hermite_strata,
+    hlex_key,
     leading_module,
+    lex_key,
     pivot_profile,
     weight,
+    window_depth,
 )
+
+import oracle
 
 
 def gaussian_binomial(n, k, q):
@@ -59,31 +63,6 @@ def eval_product(combo):
     return out
 
 
-class TestPrimeField:
-    def test_rejects_composites(self):
-        for bad in (0, 1, 4, 6, 9, 15):
-            with pytest.raises(ValueError):
-                PrimeField(bad)
-
-    @pytest.mark.parametrize("q", [2, 3, 5, 7])
-    def test_field_axioms_by_full_tables(self, q):
-        f = PrimeField(q)
-        elements = range(q)
-        for a in elements:
-            assert f.add(a, f.neg(a)) == 0
-            if a:
-                assert f.mul(a, f.inv(a)) == 1
-            for b in elements:
-                assert f.add(a, b) == f.add(b, a)
-                assert f.mul(a, b) == f.mul(b, a)
-                for c in elements:
-                    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-
-    def test_zero_has_no_inverse(self):
-        with pytest.raises(ZeroDivisionError):
-            PrimeField(5).inv(0)
-
-
 class TestModuleSpace:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -92,6 +71,11 @@ class TestModuleSpace:
             ModuleSpace(2, 0, 2)
         with pytest.raises(ValueError):
             ModuleSpace(2, 2, 0)
+
+    def test_rejects_composite_moduli(self):
+        for bad in (0, 1, 4, 6, 9, 15):
+            with pytest.raises(ValueError):
+                ModuleSpace(bad, 2, 2)
 
     def test_shift_examples(self):
         space = ModuleSpace(2, 2, 3)
@@ -116,9 +100,9 @@ class TestModuleSpace:
 
     def test_scan_orders(self):
         space = ModuleSpace(2, 2, 2)
-        assert space.scan_order("hlex") == (0, 1, 2, 3)
+        assert space.scan_order(hlex_key) == (0, 1, 2, 3)
         # Seat-major: u1, Tu1, u2, Tu2 at flat positions 0, 2, 1, 3.
-        assert space.scan_order("lex") == (0, 2, 1, 3)
+        assert space.scan_order(lex_key) == (0, 2, 1, 3)
 
 
 class TestEchelonize:
@@ -202,8 +186,8 @@ class TestEnumerateSubmodules:
 
     @pytest.mark.parametrize("q,d,depth", [(2, 2, 2), (3, 2, 2), (2, 1, 3), (2, 3, 1)])
     def test_pruned_matches_unpruned_oracle(self, q, d, depth):
-        assert enumerate_submodules(q, d, depth) == enumerate_submodules(
-            q, d, depth, prune=False
+        assert enumerate_submodules(q, d, depth) == oracle.t_stable_subspaces(
+            ModuleSpace(q, d, depth)
         )
 
     def test_every_result_is_t_stable_and_dimension_consistent(self):
@@ -220,6 +204,10 @@ class TestEnumerateSubmodules:
             enumerate_submodules(2, 3, 3, cap=2**8)
 
 
+def count_by_colength(q, d, depth):
+    return Census.tally(q, d, depth, enumerate_submodules(q, d, depth)).observed()
+
+
 class TestCountByColength:
     def test_literal_grids(self):
         assert count_by_colength(2, 2, 3) == [1, 3, 7, 15]
@@ -231,6 +219,40 @@ class TestCountByColength:
         powers = [q**i for i in range(d)]
         expected = [complete_homogeneous(n, powers) for n in range(depth + 1)]
         assert count_by_colength(q, d, depth) == expected
+        assert Census.tally(q, d, depth, []).predicted() == expected
+
+
+class TestCensus:
+    def test_strata_partition_the_colength_classes(self):
+        q, d, depth = 2, 2, 3
+        subs = enumerate_submodules(q, d, depth)
+        census = Census.tally(q, d, depth, subs)
+        grouped = [m for group in census.strata.values() for m in group]
+        assert len(grouped) == len(set(grouped))
+        assert set(grouped) == {m for m in subs if m.codim <= depth}
+        for x, group in census.strata.items():
+            assert all(m.codim == sum(x.levels) and leading_module(m) == x for m in group)
+
+    def test_stratum_rows_pair_prediction_and_observation(self):
+        census = Census.tally(2, 2, 2, enumerate_submodules(2, 2, 2))
+        assert census.stratum_rows(2) == [
+            (Config((0, 2)), 2, 4, 4),
+            (Config((1, 1)), 0, 1, 1),
+            (Config((2, 0)), 1, 2, 2),
+        ]
+
+    def test_leaves_out_colengths_above_n(self):
+        census = Census.tally(2, 2, 1, enumerate_submodules(2, 2, 3))
+        assert census.observed() == [1, 3]
+        assert census.predicted() == [1, 3]
+
+    def test_window_depth(self):
+        assert [window_depth(n) for n in (0, 1, 2, 5)] == [1, 1, 2, 5]
+        assert window_depth(2, depth=4) == 4
+        with pytest.raises(ValueError, match="too shallow"):
+            window_depth(3, depth=2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            window_depth(-1)
 
 
 class TestStrata:
@@ -257,6 +279,10 @@ class TestStrata:
     def test_rejects_too_shallow_window(self):
         with pytest.raises(ValueError):
             enumerate_stratum(Config((2, 1)), 2, depth=2)
+
+    def test_default_depth_is_the_colength(self):
+        x = Config((2, 0))
+        assert enumerate_stratum(x, 2) == enumerate_stratum(x, 2, depth=2)
 
 
 class TestHermite:
@@ -287,4 +313,4 @@ class TestHermite:
     def test_seat_major_pivot_profile_recovers_the_diagonal(self):
         for diag, group in hermite_strata(2, 3, 2).items():
             for m in group:
-                assert pivot_profile(m, "lex") == diag
+                assert pivot_profile(m, lex_key) == diag

@@ -10,17 +10,21 @@ stratum size q**W(x), and the observed brute-force count.
 import argparse
 
 from spiralshift import Census, enumerate_submodules, window_depth
+from spiralshift.cli import nonnegative
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--q", type=int, default=2)
     parser.add_argument("--d", type=int, default=2)
-    parser.add_argument("--N", type=int, default=3)
+    parser.add_argument("--N", type=nonnegative, default=3)
     args = parser.parse_args()
 
-    submodules = enumerate_submodules(args.q, args.d, window_depth(args.N))
-    census = Census.tally(args.q, args.d, args.N, submodules)
+    try:
+        submodules = enumerate_submodules(args.q, args.d, window_depth(args.N))
+        census = Census.tally(args.q, args.d, args.N, submodules)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     print(f"T-stable census for q={args.q}, d={args.d}, depth={args.N}")
     for n, (observed, predicted) in enumerate(zip(census.observed(), census.predicted())):

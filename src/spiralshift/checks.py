@@ -7,6 +7,7 @@ the project promises; `quick` is a fast smoke pass over smaller ranges.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -94,15 +95,39 @@ class CheckResult:
     elapsed: float
 
 
+def _law(name: str):
+    """Make a law body returning (passed, detail) into the check `name`.
+
+    The check takes the body's arguments, times the body and returns a
+    `CheckResult`; it keeps the body's name, docstring and annotations, so
+    bodies are annotated with the check's return type.
+    """
+
+    def decorate(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            started = time.perf_counter()
+            passed, detail = body(*args, **kwargs)
+            return CheckResult(name, passed, detail, time.perf_counter() - started)
+
+        return check
+
+    return decorate
+
+
 def _configs_up_to(d_max: int, n_max: int):
     for d in range(1, d_max + 1):
         for n in range(n_max + 1):
             yield from configs_with_size(d, n)
 
 
+def _grids(profile: Profile) -> str:
+    return ", ".join(f"q={q},d={d},N={n}" for q, d, n in profile.module_grid)
+
+
+@_law("worked example (width-5 commuting square)")
 def check_worked_example(profile: Profile) -> CheckResult:
     """The width-5 commuting square of ranks 2 and 3 from (0,2,1,0,1)."""
-    started = time.perf_counter()
     x = Config((0, 2, 1, 0, 1))
     ok = (
         shift_from(x, 3) == Config((0, 2, 2, 0, 1))
@@ -110,40 +135,25 @@ def check_worked_example(profile: Profile) -> CheckResult:
         and shift_from(shift_from(x, 3), 2) == Config((0, 2, 2, 2, 0))
         and shift_from(shift_from(x, 2), 3) == Config((0, 2, 2, 2, 0))
     )
-    return CheckResult(
-        "worked example (width-5 commuting square)",
-        ok,
-        "4 equalities" if ok else "mismatch in the worked square",
-        time.perf_counter() - started,
-    )
+    return ok, "4 equalities" if ok else "mismatch in the worked square"
 
 
+@_law("operator commutation")
 def check_commutation(profile: Profile) -> CheckResult:
     """Operators of any two ranks commute."""
-    started = time.perf_counter()
     checked = 0
     for x in _configs_up_to(profile.commute_d, profile.commute_n):
         for j in range(1, x.d + 1):
             for jj in range(j + 1, x.d + 1):
                 if shift_from(shift_from(x, j), jj) != shift_from(shift_from(x, jj), j):
-                    return CheckResult(
-                        "operator commutation",
-                        False,
-                        f"ranks {j},{jj} disagree at {x.levels}",
-                        time.perf_counter() - started,
-                    )
+                    return False, f"ranks {j},{jj} disagree at {x.levels}"
                 checked += 1
-    return CheckResult(
-        "operator commutation",
-        True,
-        f"{checked} ordered pairs, d <= {profile.commute_d}, size <= {profile.commute_n}",
-        time.perf_counter() - started,
-    )
+    return True, f"{checked} ordered pairs, d <= {profile.commute_d}, size <= {profile.commute_n}"
 
 
+@_law("free transitive action")
 def check_free_transitive(profile: Profile) -> CheckResult:
     """The exponent map at the origin is bijective and decompose inverts it."""
-    started = time.perf_counter()
     for d in range(1, profile.transitive_d + 1):
         origin = Config.origin(d)
         for n in range(profile.transitive_n + 1):
@@ -151,108 +161,62 @@ def check_free_transitive(profile: Profile) -> CheckResult:
             images = [act(a, origin) for a in exponents]
             expected = set(configs_with_size(d, n))
             if len(set(images)) != len(images) or set(images) != expected:
-                return CheckResult(
-                    "free transitive action",
-                    False,
-                    f"exponent map not bijective at d={d}, size {n}",
-                    time.perf_counter() - started,
-                )
+                return False, f"exponent map not bijective at d={d}, size {n}"
             for a, image in zip(exponents, images):
                 if decompose(image) != a:
-                    return CheckResult(
-                        "free transitive action",
-                        False,
-                        f"decompose({image.levels}) != {a.steps}",
-                        time.perf_counter() - started,
-                    )
-    return CheckResult(
-        "free transitive action",
-        True,
-        f"bijective with inverse, d <= {profile.transitive_d}, size <= {profile.transitive_n}",
-        time.perf_counter() - started,
+                    return False, f"decompose({image.levels}) != {a.steps}"
+    return True, (
+        f"bijective with inverse, d <= {profile.transitive_d}, size <= {profile.transitive_n}"
     )
 
 
+@_law("size and weight increments")
 def check_increments(profile: Profile) -> CheckResult:
     """Rank j raises the size by 1 and the weight by j - 1."""
-    started = time.perf_counter()
     checked = 0
     for x in _configs_up_to(profile.transitive_d, profile.transitive_n):
         for j in range(1, x.d + 1):
             y = shift_from(x, j)
             if size(y) != size(x) + 1 or weight(y) != weight(x) + j - 1:
-                return CheckResult(
-                    "size and weight increments",
-                    False,
-                    f"rank {j} at {x.levels}: got ({size(y)}, {weight(y)})",
-                    time.perf_counter() - started,
-                )
+                return False, f"rank {j} at {x.levels}: got ({size(y)}, {weight(y)})"
             checked += 1
-    return CheckResult(
-        "size and weight increments",
-        True,
-        f"{checked} applications, d <= {profile.transitive_d}, size <= {profile.transitive_n}",
-        time.perf_counter() - started,
+    return True, (
+        f"{checked} applications, d <= {profile.transitive_d}, size <= {profile.transitive_n}"
     )
 
 
+@_law("weight formula equivalence")
 def check_weight_equivalence(profile: Profile) -> CheckResult:
     """The pairwise-distance weight equals the seat-pair double sum."""
-    started = time.perf_counter()
     checked = 0
     for x in _configs_up_to(profile.transitive_d, profile.transitive_n):
         if weight(x) != weight_by_seats(x):
-            return CheckResult(
-                "weight formula equivalence",
-                False,
-                f"{x.levels}: {weight(x)} vs {weight_by_seats(x)}",
-                time.perf_counter() - started,
-            )
+            return False, f"{x.levels}: {weight(x)} vs {weight_by_seats(x)}"
         checked += 1
-    return CheckResult(
-        "weight formula equivalence",
-        True,
-        f"{checked} configurations",
-        time.perf_counter() - started,
-    )
+    return True, f"{checked} configurations"
 
 
+@_law("series identity three ways")
 def check_series_three_way(profile: Profile) -> CheckResult:
     """Product, brute-force and recurrence series agree; coefficients count box partitions."""
-    started = time.perf_counter()
     for d in range(1, profile.series_d + 1):
         for t_cut in range(profile.series_t + 1):
             brute = sum_over_configs(d, t_cut)
             prod = product_formula(d, t_cut)
             rec = recurrence_formula(d, t_cut)
             if brute != prod or prod != rec:
-                return CheckResult(
-                    "series identity three ways",
-                    False,
-                    f"mismatch at d={d}, t_cut={t_cut}",
-                    time.perf_counter() - started,
-                )
+                return False, f"mismatch at d={d}, t_cut={t_cut}"
         top = product_formula(d, profile.series_t)
         for n in range(profile.series_t + 1):
             for w in range((d - 1) * n + 1):
                 if top.coefficient(n, w) != gaussian_count(n, d, w):
-                    return CheckResult(
-                        "series identity three ways",
-                        False,
-                        f"coefficient ({n},{w}) at d={d} is not the box-partition count",
-                        time.perf_counter() - started,
-                    )
-    return CheckResult(
-        "series identity three ways",
-        True,
-        f"d <= {profile.series_d}, t_cut <= {profile.series_t}, coefficients vs partitions",
-        time.perf_counter() - started,
-    )
+                    return False, f"coefficient ({n},{w}) at d={d} is not the box-partition count"
+    return True, f"d <= {profile.series_d}, t_cut <= {profile.series_t}, coefficients vs partitions"
 
 
+@_law("box partition bijection")
 def check_partition_bijection(profile: Profile) -> CheckResult:
     """Box partitions biject onto configurations of the given size and weight."""
-    started = time.perf_counter()
     for d in range(1, profile.bijection_d + 1):
         for n in range(profile.bijection_n + 1):
             by_weight: dict[int, set[Config]] = {}
@@ -263,46 +227,25 @@ def check_partition_bijection(profile: Profile) -> CheckResult:
                 source = [lam for lam in partitions if lam.size == w]
                 images = [partition_to_config(lam, n, d) for lam in source]
                 if len(set(images)) != len(images) or set(images) != by_weight.get(w, set()):
-                    return CheckResult(
-                        "box partition bijection",
-                        False,
-                        f"not a bijection at d={d}, n={n}, w={w}",
-                        time.perf_counter() - started,
-                    )
-    return CheckResult(
-        "box partition bijection",
-        True,
-        f"d <= {profile.bijection_d}, size <= {profile.bijection_n}, every weight",
-        time.perf_counter() - started,
-    )
+                    return False, f"not a bijection at d={d}, n={n}, w={w}"
+    return True, f"d <= {profile.bijection_d}, size <= {profile.bijection_n}, every weight"
 
 
+@_law("submodule counts by colength")
 def check_submodule_counts(profile: Profile) -> CheckResult:
     """Brute-force colength totals match the product series at numeric q."""
-    started = time.perf_counter()
     for q, d, depth in profile.module_grid:
         submodules = enumerate_submodules(q, d, depth, cap=profile.cap)
         census = Census.tally(q, d, depth, submodules)
         observed, predicted = census.observed(), census.predicted()
         if observed != predicted:
-            return CheckResult(
-                "submodule counts by colength",
-                False,
-                f"q={q}, d={d}, depth={depth}: {observed} vs {predicted}",
-                time.perf_counter() - started,
-            )
-    grids = ", ".join(f"q={q},d={d},N={n}" for q, d, n in profile.module_grid)
-    return CheckResult(
-        "submodule counts by colength",
-        True,
-        grids,
-        time.perf_counter() - started,
-    )
+            return False, f"q={q}, d={d}, depth={depth}: {observed} vs {predicted}"
+    return True, _grids(profile)
 
 
+@_law("stratum law")
 def check_stratum_law(profile: Profile) -> CheckResult:
     """Stratum sizes are q**weight; the generator and matrix enumerations match brute force."""
-    started = time.perf_counter()
     for q, d, depth in profile.module_grid:
         submodules = enumerate_submodules(q, d, depth, cap=profile.cap)
         census = Census.tally(q, d, depth, submodules)
@@ -312,38 +255,17 @@ def check_stratum_law(profile: Profile) -> CheckResult:
             for x, _, predicted, observed in census.stratum_rows(n):
                 brute = set(unlabelled.pop(x, ()))
                 if observed != predicted:
-                    return CheckResult(
-                        "stratum law",
-                        False,
-                        f"stratum {x.levels} at q={q}: {observed} vs {predicted}",
-                        time.perf_counter() - started,
-                    )
+                    return False, f"stratum {x.levels} at q={q}: {observed} vs {predicted}"
                 direct = enumerate_stratum(x, q, depth=depth, cap=profile.cap)
                 if len(set(direct)) != len(direct) or set(direct) != brute:
-                    return CheckResult(
-                        "stratum law",
-                        False,
-                        f"generator enumeration disagrees on stratum {x.levels} at q={q}",
-                        time.perf_counter() - started,
-                    )
+                    return False, f"generator enumeration disagrees on stratum {x.levels} at q={q}"
                 colength_class |= brute
             matrices = hermite_enumerate(q, d, n, depth=depth, cap=profile.cap)
             if len(set(matrices)) != len(matrices) or set(matrices) != colength_class:
-                return CheckResult(
-                    "stratum law",
-                    False,
-                    f"matrix enumeration disagrees at q={q}, d={d}, colength {n}",
-                    time.perf_counter() - started,
-                )
+                return False, f"matrix enumeration disagrees at q={q}, d={d}, colength {n}"
         if unlabelled:
-            return CheckResult(
-                "stratum law",
-                False,
-                f"unlabelled submodules at q={q}, d={d}, profiles {list(unlabelled)}",
-                time.perf_counter() - started,
-            )
-    grids = ", ".join(f"q={q},d={d},N={n}" for q, d, n in profile.module_grid)
-    return CheckResult("stratum law", True, grids, time.perf_counter() - started)
+            return False, f"unlabelled submodules at q={q}, d={d}, profiles {list(unlabelled)}"
+    return True, _grids(profile)
 
 
 def random_free_generators(
@@ -366,32 +288,26 @@ def random_free_generators(
                 return x0, candidate
 
 
+@_law("free orbit product formula")
 def check_free_orbits(profile: Profile, seed: int = 20260810) -> CheckResult:
     """Closed-form orbit series equals the brute-force orbit census."""
-    started = time.perf_counter()
     rng = random.Random(seed)
     for trial in range(profile.orbit_trials):
         x0, gens = random_free_generators(rng)
         closed = free_orbit_formula(x0, gens, profile.orbit_t)
         brute = orbit_sum(x0, gens, profile.orbit_t)
         if closed != brute:
-            return CheckResult(
-                "free orbit product formula",
-                False,
-                f"trial {trial}: x0={x0.levels}, gens={[g.steps for g in gens.generators]}",
-                time.perf_counter() - started,
+            return False, (
+                f"trial {trial}: x0={x0.levels}, gens={[g.steps for g in gens.generators]}"
             )
-    return CheckResult(
-        "free orbit product formula",
-        True,
-        f"{profile.orbit_trials} random independent generator sets, t_cut={profile.orbit_t}",
-        time.perf_counter() - started,
+    return True, (
+        f"{profile.orbit_trials} random independent generator sets, t_cut={profile.orbit_t}"
     )
 
 
+@_law("tightness preservation")
 def check_tightness(profile: Profile) -> CheckResult:
     """Low-rank operators preserve r-tightness."""
-    started = time.perf_counter()
     checked = 0
     for x in _configs_up_to(profile.transitive_d, profile.transitive_n):
         for r in range(2, x.d + 1):
@@ -399,24 +315,14 @@ def check_tightness(profile: Profile) -> CheckResult:
                 continue
             for j in range(1, r):
                 if not is_tight(shift_from(x, j), r):
-                    return CheckResult(
-                        "tightness preservation",
-                        False,
-                        f"rank {j} broke {r}-tightness at {x.levels}",
-                        time.perf_counter() - started,
-                    )
+                    return False, f"rank {j} broke {r}-tightness at {x.levels}"
                 checked += 1
-    return CheckResult(
-        "tightness preservation",
-        True,
-        f"{checked} preserved applications",
-        time.perf_counter() - started,
-    )
+    return True, f"{checked} preserved applications"
 
 
+@_law("content additivity under the action")
 def check_content_multiplicativity(profile: Profile) -> CheckResult:
     """Acting adds the exponent content to the configuration content."""
-    started = time.perf_counter()
     checked = 0
     for d in range(1, profile.commute_d + 1):
         for x in configs_with_size(d, min(2, profile.commute_n)):
@@ -426,19 +332,9 @@ def check_content_multiplicativity(profile: Profile) -> CheckResult:
                 base = content(x)
                 extra = multiindex_content(a)
                 if got != (base.t_exp + extra.t_exp, base.q_exp + extra.q_exp):
-                    return CheckResult(
-                        "content additivity under the action",
-                        False,
-                        f"a={steps} on {x.levels}",
-                        time.perf_counter() - started,
-                    )
+                    return False, f"a={steps} on {x.levels}"
                 checked += 1
-    return CheckResult(
-        "content additivity under the action",
-        True,
-        f"{checked} pairs",
-        time.perf_counter() - started,
-    )
+    return True, f"{checked} pairs"
 
 
 ALL_CHECKS = (

@@ -1,7 +1,9 @@
 """Command-line surface: operators, statistics, series, censuses, verification.
 
-Exit codes: 0 success, 2 malformed input, 3 precondition violation,
-4 feasibility cap exceeded, 5 verification failure.
+Each command returns what it found; `main` times it and emits the table or
+the `--json` record.  Exit codes: 0 success, 2 malformed input or an
+unwritable --out, 3 precondition violation, 4 feasibility cap exceeded,
+5 verification failure.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from typing import NamedTuple
 
 from .checks import FULL, QUICK, run_profile
 from .cylinder import Config, MultiIndex, decompose, shift_from
@@ -50,18 +53,27 @@ def parse_config(text: str, d: int) -> Config:
     return Config(levels)
 
 
-def emit(args, command: str, inputs: dict, result, lines: list[str], started: float) -> None:
+class Findings(NamedTuple):
+    """What a command found: its inputs, result record, table lines and exit code."""
+
+    inputs: dict
+    result: object
+    lines: list[str]
+    code: int = 0
+
+
+def emit(args, found: Findings, elapsed: float) -> None:
     if args.json:
         record = {
             "schema": SCHEMA,
-            "command": command,
-            "inputs": inputs,
-            "result": result,
-            "elapsed_s": round(time.perf_counter() - started, 6),
+            "command": args.command,
+            "inputs": found.inputs,
+            "result": found.result,
+            "elapsed_s": round(elapsed, 6),
         }
         text = json.dumps(record, indent=2)
     else:
-        text = "\n".join(lines)
+        text = "\n".join(found.lines)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -77,81 +89,54 @@ def series_result(p: BiPoly) -> dict:
     return {"t_cut": p.t_cut, "coeffs": [[n, w, c] for (n, w), c in p.terms()]}
 
 
-def cmd_apply(args) -> int:
-    started = time.perf_counter()
+def cmd_apply(args) -> Findings:
     x = parse_config(args.x, args.d)
     y = shift_from(x, args.j)
-    emit(
-        args,
-        "apply",
+    return Findings(
         {"d": args.d, "j": args.j, "x": list(x.levels)},
         {"levels": list(y.levels)},
         [",".join(str(n) for n in y.levels)],
-        started,
     )
-    return 0
 
 
-def cmd_decompose(args) -> int:
-    started = time.perf_counter()
+def cmd_decompose(args) -> Findings:
     x = parse_config(args.x, args.d)
     a = decompose(x)
-    emit(
-        args,
-        "decompose",
+    return Findings(
         {"d": args.d, "x": list(x.levels)},
         {"steps": list(a.steps)},
         [",".join(str(s) for s in a.steps)],
-        started,
     )
-    return 0
 
 
-def cmd_stats(args) -> int:
-    started = time.perf_counter()
+def cmd_stats(args) -> Findings:
     x = parse_config(args.x, args.d)
     n, w = size(x), weight(x)
-    emit(
-        args,
-        "stats",
-        {"d": args.d, "x": list(x.levels)},
-        {"size": n, "weight": w},
-        [f"n={n} W={w}"],
-        started,
-    )
-    return 0
+    return Findings({"d": args.d, "x": list(x.levels)}, {"size": n, "weight": w}, [f"n={n} W={w}"])
 
 
-def cmd_series(args) -> int:
-    started = time.perf_counter()
+def cmd_series(args) -> Findings:
     methods = {
         "product": product_formula,
         "configs": sum_over_configs,
         "recurrence": recurrence_formula,
     }
     p = methods[args.method](args.d, args.tcut)
-    emit(
-        args,
-        "series",
+    return Findings(
         {"d": args.d, "tcut": args.tcut, "method": args.method},
         series_result(p),
         series_lines(p),
-        started,
     )
-    return 0
 
 
-def cmd_orbit(args) -> int:
-    started = time.perf_counter()
+def cmd_orbit(args) -> Findings:
     x0 = Config(parse_levels(args.x0))
     gens = GeneratorSet(args.d, tuple(MultiIndex(parse_levels(g)) for g in args.gens))
     if args.closed_form:
         p = free_orbit_formula(x0, gens, args.tcut)
     else:
         p = orbit_sum(x0, gens, args.tcut)
-    emit(
-        args,
-        "orbit",
+    return Findings(
         {
             "d": args.d,
             "x0": list(x0.levels),
@@ -161,9 +146,7 @@ def cmd_orbit(args) -> int:
         },
         series_result(p),
         series_lines(p),
-        started,
     )
-    return 0
 
 
 def census(args, n: int) -> Census:
@@ -172,27 +155,21 @@ def census(args, n: int) -> Census:
     return Census.tally(args.q, args.d, n, submodules)
 
 
-def cmd_count(args) -> int:
-    started = time.perf_counter()
+def cmd_count(args) -> Findings:
     totals = census(args, args.N)
     observed, predicted = totals.observed(), totals.predicted()
     lines = [
         f"n={n} observed={o} predicted={p}"
         for n, (o, p) in enumerate(zip(observed, predicted))
     ]
-    emit(
-        args,
-        "count",
+    return Findings(
         {"q": args.q, "d": args.d, "N": args.N},
         {"observed": observed, "predicted": predicted},
         lines,
-        started,
     )
-    return 0
 
 
-def cmd_strata(args) -> int:
-    started = time.perf_counter()
+def cmd_strata(args) -> Findings:
     rows = [
         {"x": list(x.levels), "weight": w, "predicted": p, "observed": o}
         for x, w, p, o in census(args, args.n).stratum_rows(args.n)
@@ -206,19 +183,10 @@ def cmd_strata(args) -> int:
         )
         for row in rows
     ]
-    emit(
-        args,
-        "strata",
-        {"q": args.q, "d": args.d, "n": args.n},
-        {"strata": rows},
-        lines,
-        started,
-    )
-    return 0
+    return Findings({"q": args.q, "d": args.d, "n": args.n}, {"strata": rows}, lines)
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
+def cmd_verify(args) -> Findings:
     profile = QUICK if args.profile == "quick" else FULL
     results = run_profile(profile)
     lines = [
@@ -230,8 +198,8 @@ def cmd_verify(args) -> int:
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
         ],
     }
-    emit(args, "verify", {"profile": args.profile}, payload, lines, started)
-    return 0 if all(r.passed for r in results) else 5
+    code = 0 if all(r.passed for r in results) else 5
+    return Findings({"profile": args.profile}, payload, lines, code)
 
 
 def nonnegative(text: str) -> int:
@@ -314,15 +282,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        found = args.func(args)
+        emit(args, found, time.perf_counter() - started)
+        return found.code
     except NotFreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -214,12 +214,48 @@ def test_out_writes_file(tmp_path, capsys):
     assert target.read_text().strip() == "0,2,2,0,1"
 
 
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(
+        capsys, ["apply", "--d", "5", "--j", "3", "--x", "0,2,1,0,1", "--out", str(target)]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert str(target) in err
+    assert not target.exists()
+
+
 def test_verify_quick_profile(capsys):
     code, out, _ = run(capsys, ["verify", "--profile", "quick"])
     assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) >= 11
-    assert all(line.startswith("PASS") for line in lines)
+    assert out.splitlines() == [
+        "PASS worked example (width-5 commuting square): 4 equalities",
+        "PASS operator commutation: 70 ordered pairs, d <= 3, size <= 3",
+        "PASS free transitive action: bijective with inverse, d <= 3, size <= 4",
+        "PASS size and weight increments: 140 applications, d <= 3, size <= 4",
+        "PASS weight formula equivalence: 55 configurations",
+        "PASS series identity three ways: d <= 3, t_cut <= 5, coefficients vs partitions",
+        "PASS box partition bijection: d <= 3, size <= 4, every weight",
+        "PASS submodule counts by colength: q=2,d=2,N=2",
+        "PASS stratum law: q=2,d=2,N=2",
+        "PASS free orbit product formula: 10 random independent generator sets, t_cut=6",
+        "PASS tightness preservation: 50 preserved applications",
+        "PASS content additivity under the action: 46 pairs",
+    ]
+
+
+def test_verify_failure_exits_5_and_names_the_counterexample(capsys, monkeypatch):
+    monkeypatch.setattr("spiralshift.checks.weight_by_seats", lambda x: -1)
+    code, out, _ = run(capsys, ["verify", "--profile", "quick"])
+    assert code == 5
+    assert "FAIL weight formula equivalence: (0,): 0 vs -1" in out.splitlines()
+    code, out, _ = run(capsys, ["verify", "--profile", "quick", "--json"])
+    assert code == 5
+    failed = [c for c in json.loads(out)["result"]["checks"] if not c["passed"]]
+    assert failed == [
+        {"name": "weight formula equivalence", "passed": False, "detail": "(0,): 0 vs -1"}
+    ]
 
 
 @pytest.mark.parametrize("module", ["spiralshift", "spiralshift.cli"])
@@ -238,17 +274,36 @@ def test_python_dash_m_runs_the_cli(module):
     assert done.stdout.strip() == "1,1"
 
 
-def test_census_script_table():
+def run_census_script(*argv):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "submodule_census.py"), "--q", "2", "--d", "2", "--N", "2"],
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / "submodule_census.py"), *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--N", "-1"], "argument --N: must be nonnegative"),
+        (["--q", "4"], "modulus must be prime"),
+    ],
+)
+def test_census_script_bad_input_exits_2(argv, message):
+    done = run_census_script(*argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_census_script_table():
+    done = run_census_script("--q", "2", "--d", "2", "--N", "2")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "T-stable census for q=2, d=2, depth=2",

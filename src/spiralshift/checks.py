@@ -22,7 +22,7 @@ from .cylinder import (
     is_tight,
     shift_from,
 )
-from .partitions import box_partitions, gaussian_count, partition_to_config
+from .partitions import box_partitions, gaussian_counts, partition_to_config
 from .series import (
     GeneratorSet,
     free_orbit_formula,
@@ -36,8 +36,8 @@ from .stats import content, multiindex_content, size, weight, weight_by_seats
 from .submodules import (
     DEFAULT_CAP,
     Census,
+    brute_strata,
     enumerate_stratum,
-    enumerate_submodules,
     hermite_enumerate,
 )
 
@@ -208,8 +208,8 @@ def check_series_three_way(profile: Profile) -> CheckResult:
                 return False, f"mismatch at d={d}, t_cut={t_cut}"
         top = product_formula(d, profile.series_t)
         for n in range(profile.series_t + 1):
-            for w in range((d - 1) * n + 1):
-                if top.coefficient(n, w) != gaussian_count(n, d, w):
+            for w, count in enumerate(gaussian_counts(n, d)):
+                if top.coefficient(n, w) != count:
                     return False, f"coefficient ({n},{w}) at d={d} is not the box-partition count"
     return True, f"d <= {profile.series_d}, t_cut <= {profile.series_t}, coefficients vs partitions"
 
@@ -233,10 +233,9 @@ def check_partition_bijection(profile: Profile) -> CheckResult:
 
 @_law("submodule counts by colength")
 def check_submodule_counts(profile: Profile) -> CheckResult:
-    """Brute-force colength totals match the product series at numeric q."""
+    """The stratum walk's colength totals match the product series at numeric q."""
     for q, d, depth in profile.module_grid:
-        submodules = enumerate_submodules(q, d, depth, cap=profile.cap)
-        census = Census.tally(q, d, depth, submodules)
+        census = Census.walk(q, d, depth, cap=profile.cap)
         observed, predicted = census.observed(), census.predicted()
         if observed != predicted:
             return False, f"q={q}, d={d}, depth={depth}: {observed} vs {predicted}"
@@ -245,11 +244,10 @@ def check_submodule_counts(profile: Profile) -> CheckResult:
 
 @_law("stratum law")
 def check_stratum_law(profile: Profile) -> CheckResult:
-    """Stratum sizes are q**weight; the generator and matrix enumerations match brute force."""
+    """Brute-force stratum sizes are q**weight; the generator and matrix enumerations match them."""
     for q, d, depth in profile.module_grid:
-        submodules = enumerate_submodules(q, d, depth, cap=profile.cap)
-        census = Census.tally(q, d, depth, submodules)
-        unlabelled = dict(census.strata)
+        unlabelled = brute_strata(q, d, depth, cap=profile.cap)
+        census = Census(q, d, depth, {x: len(group) for x, group in unlabelled.items()})
         for n in range(depth + 1):
             colength_class: set = set()
             for x, _, predicted, observed in census.stratum_rows(n):

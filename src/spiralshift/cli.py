@@ -27,13 +27,7 @@ from .series import (
     sum_over_configs,
 )
 from .stats import size, weight
-from .submodules import (
-    DEFAULT_CAP,
-    Census,
-    FeasibilityError,
-    enumerate_submodules,
-    window_depth,
-)
+from .submodules import DEFAULT_CAP, Census, FeasibilityError
 
 SCHEMA = "spiralshift.output/1"
 
@@ -151,8 +145,7 @@ def cmd_orbit(args) -> Findings:
 
 def census(args, n: int) -> Census:
     """The census up to colength n at the command's --q, --d and --cap."""
-    submodules = enumerate_submodules(args.q, args.d, window_depth(n), cap=args.cap)
-    return Census.tally(args.q, args.d, n, submodules)
+    return Census.walk(args.q, args.d, n, cap=args.cap)
 
 
 def cmd_count(args) -> Findings:

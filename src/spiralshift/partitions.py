@@ -49,14 +49,23 @@ def box_partitions(rows: int, cols: int) -> list[Partition]:
     return found
 
 
-def gaussian_count(n: int, d: int, w: int) -> int:
-    """Number of size-w partitions with at most n parts, each below d.
+def gaussian_counts(n: int, d: int) -> list[int]:
+    """Entry w is the number of size-w partitions with at most n parts, each below d.
 
-    Counted by direct enumeration of the n x (d-1) box.
+    Counted by direct enumeration of the n x (d-1) box, read once.
     """
     if d < 1:
         raise ValueError("width d must be positive")
-    return sum(1 for lam in box_partitions(n, d - 1) if lam.size == w)
+    counts = [0] * ((d - 1) * n + 1)
+    for lam in box_partitions(n, d - 1):
+        counts[lam.size] += 1
+    return counts
+
+
+def gaussian_count(n: int, d: int, w: int) -> int:
+    """Number of size-w partitions with at most n parts, each below d."""
+    counts = gaussian_counts(n, d)
+    return counts[w] if 0 <= w < len(counts) else 0
 
 
 def partition_to_config(lam: Partition, n: int, d: int) -> Config:

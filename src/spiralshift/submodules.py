@@ -15,8 +15,12 @@ the leading-term stratum label, and the seat-major order `lex_key` (seat,
 then level), under which the strata are the diagonals of the
 lower-triangular generator matrices enumerated by `hermite_strata`.
 
-`Census` groups one brute-force enumeration by stratum label; the colength
-totals and the stratum sizes, with their predictions, are read off it.
+`Census.walk` generates every stratum of colength at most n with
+`enumerate_stratum`, checks each member, and keeps only the stratum sizes;
+the colength totals and the stratum sizes, with their predictions, are read
+off it.  The scan `enumerate_submodules`, grouped by `brute_strata`, is the
+independent oracle the walk is tested against.  Every enumerator counts its
+exact work (members or candidates) before it starts and refuses past `cap`.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ DEFAULT_CAP = 2**20
 
 
 class FeasibilityError(Exception):
-    """An enumeration request exceeded the configured ambient-size cap."""
+    """An enumeration request exceeded the configured work cap."""
 
 
 def is_prime(n: int) -> bool:
@@ -194,7 +198,11 @@ class SubmoduleBasis:
         return not any(remainder)
 
     def is_t_stable(self) -> bool:
-        return all(self.contains(self.space.mul_by_t(row)) for row in self.rows)
+        pivots = self.pivot_positions()
+        return not any(
+            any(_reduce(self.space, self.rows, pivots, self.space.mul_by_t(row)))
+            for row in self.rows
+        )
 
 
 def pivot_profile(m: SubmoduleBasis, key: MonomialKey = hlex_key) -> tuple[int, ...]:
@@ -223,11 +231,24 @@ def leading_module(m: SubmoduleBasis) -> Config:
     return Config(pivot_profile(m))
 
 
-def _check_cap(q: int, d: int, depth: int, cap: int) -> None:
-    if q ** (d * depth) > cap:
-        raise FeasibilityError(
-            f"ambient vector count {q}^{d * depth} exceeds the cap {cap}"
-        )
+def _check_work(work: Iterable[int], cap: int, what: str) -> None:
+    """Refuse before any enumeration when the summed work exceeds cap.
+
+    Summing stops at the first partial sum past cap, so the check itself
+    looks at no more than cap + 1 items.
+    """
+    total = 0
+    for amount in work:
+        total += amount
+        if total > cap:
+            raise FeasibilityError(f"{what} exceed the cap {cap}")
+
+
+def _echelon_cells(space: ModuleSpace, pivot_positions: Iterable[int]) -> list[list[int]]:
+    """Per height-order pivot, in increasing order, the free positions after it."""
+    pivots = sorted(pivot_positions)
+    pivot_set = set(pivots)
+    return [[c for c in range(p + 1, space.dim) if c not in pivot_set] for p in pivots]
 
 
 def _echelon_candidates(
@@ -236,8 +257,7 @@ def _echelon_candidates(
     """All reduced echelon row tuples with the given height-order pivots."""
     q = space.q
     pivots = sorted(pivot_positions)
-    pivot_set = set(pivots)
-    free = [[c for c in range(p + 1, space.dim) if c not in pivot_set] for p in pivots]
+    free = _echelon_cells(space, pivots)
     total = sum(len(cells) for cells in free)
     for assign in itertools.product(range(q), repeat=total):
         rows = []
@@ -273,10 +293,16 @@ def enumerate_submodules(
     """Every T-stable subspace of the width-d, depth-N window, canonical form.
 
     Only the pivot profiles a T-stable subspace can carry are scanned; the
-    tests compare against a scan of every pivot set.  Output is sorted.
+    tests compare against a scan of every pivot set.  The candidates
+    scanned, q to the free-cell count summed over those profiles, may not
+    exceed `cap`.  Output is sorted.
     """
-    _check_cap(q, d, depth, cap)
     space = ModuleSpace(q, d, depth)
+    _check_work(
+        (q ** sum(map(len, _echelon_cells(space, p))) for p in _pivot_sets(space)),
+        cap,
+        "echelon candidates to scan",
+    )
     found = []
     for pivot_positions in _pivot_sets(space):
         for rows in _echelon_candidates(space, pivot_positions):
@@ -304,12 +330,31 @@ def window_depth(colength: int, depth: int | None = None) -> int:
     return depth
 
 
+def brute_strata(
+    q: int, d: int, n: int, depth: int | None = None, cap: int = DEFAULT_CAP
+) -> dict[Config, list[SubmoduleBasis]]:
+    """The brute oracle: the scanned submodules of colength at most n, by leading module.
+
+    Scans the window of depth window_depth(n, depth) with enumerate_submodules.
+    """
+    strata: dict[Config, list[SubmoduleBasis]] = {}
+    for m in enumerate_submodules(q, d, window_depth(n, depth), cap=cap):
+        if m.codim <= n:
+            strata.setdefault(leading_module(m), []).append(m)
+    return strata
+
+
+def _strata_up_to(d: int, n: int) -> Iterator[Config]:
+    for k in range(n + 1):
+        yield from configs_with_size(d, k)
+
+
 @dataclass(frozen=True)
 class Census:
-    """The submodules of colength at most n, grouped by leading-term profile.
+    """The number of submodules of colength at most n in each leading-term stratum.
 
-    `strata[x]` lists the submodules whose leading module is x, so the size
-    of x is their colength.  The two laws read off it: the totals by
+    `sizes[x]` counts the submodules whose leading module is x, so their
+    colength is the size of x.  The two laws read off it: the totals by
     colength are the product series at numeric q, and stratum x holds
     q**W(x) submodules.
     """
@@ -317,22 +362,30 @@ class Census:
     q: int
     d: int
     n: int
-    strata: dict[Config, list[SubmoduleBasis]]
+    sizes: dict[Config, int]
 
     @classmethod
-    def tally(cls, q: int, d: int, n: int, submodules: Iterable[SubmoduleBasis]) -> "Census":
-        """Group the output of enumerate_submodules(q, d, window_depth(n))."""
-        strata: dict[Config, list[SubmoduleBasis]] = {}
-        for m in submodules:
-            if m.codim <= n:
-                strata.setdefault(leading_module(m), []).append(m)
-        return cls(q, d, n, strata)
+    def walk(cls, q: int, d: int, n: int, cap: int = DEFAULT_CAP) -> "Census":
+        """Generate every stratum of size at most n and count its checked members.
+
+        The members to generate, q to each stratum's free-cell count summed
+        over the strata, may not exceed `cap`.
+        """
+        depth = window_depth(n)
+        ModuleSpace(q, d, depth)  # rejects a bad q or d before the cap is checked
+        _check_work(
+            (q ** sum(map(len, _stratum_cells(x))) for x in _strata_up_to(d, n)),
+            cap,
+            "submodules to walk",
+        )
+        sizes = {x: _walk_stratum(x, q, depth, cap) for x in _strata_up_to(d, n)}
+        return cls(q, d, n, sizes)
 
     def observed(self) -> list[int]:
         """Entry k counts the submodules of colength k."""
         totals = [0] * (self.n + 1)
-        for x, group in self.strata.items():
-            totals[size(x)] += len(group)
+        for x, members in self.sizes.items():
+            totals[size(x)] += members
         return totals
 
     def predicted(self) -> list[int]:
@@ -345,8 +398,28 @@ class Census:
         rows = []
         for x in configs_with_size(self.d, colength):
             w = weight(x)
-            rows.append((x, w, self.q**w, len(self.strata.get(x, ()))))
+            rows.append((x, w, self.q**w, self.sizes.get(x, 0)))
         return rows
+
+
+def _walk_stratum(x: Config, q: int, depth: int, cap: int) -> int:
+    """The number of members of stratum x, each checked independently of the generator.
+
+    Every member must be T-stable, have leading module x, and occur once;
+    since the leading module is a function of the submodule, the strata are
+    then disjoint too.  A failure raises InternalInvariantError.  The
+    members are dropped on return.
+    """
+    members = enumerate_stratum(x, q, depth, cap)
+    for m in members:
+        if not m.is_t_stable():
+            raise InternalInvariantError(f"stratum {x.levels}: member {m.rows} is not T-stable")
+        # The colength test comes first, so leading_module sees none beyond the window.
+        if m.codim != size(x) or leading_module(m) != x:
+            raise InternalInvariantError(f"stratum {x.levels}: member {m.rows} lies outside it")
+    if len(set(members)) != len(members):
+        raise InternalInvariantError(f"stratum {x.levels}: a member occurs twice")
+    return len(members)
 
 
 def _module_closure(
@@ -362,35 +435,45 @@ def _module_closure(
     return vecs
 
 
+def _stratum_cells(x: Config) -> list[list[Slot]]:
+    """Per seat, the free cells of the generator whose leading monomial is seat i at level x_i.
+
+    They are exactly the monomials that sit strictly above the leading one
+    while staying below their own seat's leading level.
+    """
+    return [
+        [
+            Slot(j, a)
+            for j, nj in enumerate(x.levels, start=1)
+            if j != seat
+            for a in range(nj)
+            if hlex_key(Slot(j, a)) > hlex_key(Slot(seat, level))
+        ]
+        for seat, level in enumerate(x.levels, start=1)
+    ]
+
+
 def enumerate_stratum(
     x: Config, q: int, depth: int | None = None, cap: int = DEFAULT_CAP
 ) -> list[SubmoduleBasis]:
     """All submodules whose leading-term profile is exactly x.
 
     One generator per seat: its leading monomial is seat i at level x_i, and
-    its other coefficients range freely over exactly the monomials that sit
-    strictly above the leading one while staying below their own seat's
-    leading level.  The census tests pin the count to q**weight(x) and the
-    output to the brute-force stratum.
+    its coefficients on the free cells of `_stratum_cells` range over F_q;
+    their number, q to the free-cell count, may not exceed `cap`.  The
+    census tests pin the count to q**weight(x) and the output to the
+    brute-force stratum.
     """
     depth = window_depth(sum(x.levels), depth)
-    _check_cap(q, x.d, depth, cap)
     space = ModuleSpace(q, x.d, depth)
     leads = [Slot(i, n) for i, n in enumerate(x.levels, start=1)]
-    free_cells = []
-    for lead in leads:
-        cells = [
-            Slot(j, a)
-            for j, nj in enumerate(x.levels, start=1)
-            if j != lead.seat
-            for a in range(nj)
-            if hlex_key(Slot(j, a)) > hlex_key(lead)
-        ]
+    free_cells = _stratum_cells(x)
+    total = sum(len(cells) for cells in free_cells)
+    _check_work([q**total], cap, "submodules in the stratum")
+    for lead, cells in zip(leads, free_cells):
         if lead.level >= depth and cells:
             # Unreachable: depth >= colength forces the cell list empty here.
             raise InternalInvariantError("free cells attached to a truncated leading monomial")
-        free_cells.append(cells)
-    total = sum(len(cells) for cells in free_cells)
     found = []
     for assign in itertools.product(range(q), repeat=total):
         gens = []
@@ -408,6 +491,17 @@ def enumerate_stratum(
     return found
 
 
+def _below_diagonal(diag: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """The free cells (seat i, column j, degree a) of a lower-triangular matrix with that diagonal."""
+    d = len(diag)
+    return [
+        (i, j, a)
+        for j in range(1, d + 1)
+        for i in range(j + 1, d + 1)
+        for a in range(diag[i - 1])
+    ]
+
+
 def hermite_strata(
     q: int, d: int, colength: int, depth: int | None = None, cap: int = DEFAULT_CAP
 ) -> dict[tuple[int, ...], list[SubmoduleBasis]]:
@@ -416,20 +510,20 @@ def hermite_strata(
     Column j of a matrix is the generator T^{n_j} u_j plus, on each seat
     i > j, a polynomial of degree below n_i; the group for a diagonal
     (n_1, ..., n_d) has q ** (sum of n_i over below-diagonal cells) members.
-    The census tests pin the groups to be disjoint and to cover the
-    colength class exactly.
+    Those members, summed over the diagonals, may not exceed `cap`.  The
+    census tests pin the groups to be disjoint and to cover the colength
+    class exactly.
     """
     depth = window_depth(colength, depth)
-    _check_cap(q, d, depth, cap)
     space = ModuleSpace(q, d, depth)
+    _check_work(
+        (q ** len(_below_diagonal(diag)) for diag in compositions(colength, d)),
+        cap,
+        "generator matrices to build",
+    )
     out: dict[tuple[int, ...], list[SubmoduleBasis]] = {}
     for diag in compositions(colength, d):
-        cells = [
-            (i, j, a)
-            for j in range(1, d + 1)
-            for i in range(j + 1, d + 1)
-            for a in range(diag[i - 1])
-        ]
+        cells = _below_diagonal(diag)
         group = []
         for assign in itertools.product(range(q), repeat=len(cells)):
             cols = [[0] * space.dim for _ in range(d)]

@@ -141,6 +141,25 @@ def test_strata_table(capsys):
     ]
 
 
+def test_census_tables_up_to_colength_two(capsys):
+    code, out, _ = run(capsys, ["count", "--q", "2", "--d", "2", "--N", "2"])
+    assert code == 0
+    assert out.splitlines() == [
+        "n=0 observed=1 predicted=1",
+        "n=1 observed=3 predicted=3",
+        "n=2 observed=7 predicted=7",
+    ]
+    code, out, _ = run(capsys, ["strata", "--q", "2", "--d", "2", "--n", "0"])
+    assert code == 0
+    assert out.splitlines() == ["x=(0,0) W=0 predicted=1 observed=1"]
+    code, out, _ = run(capsys, ["strata", "--q", "2", "--d", "2", "--n", "1"])
+    assert code == 0
+    assert out.splitlines() == [
+        "x=(0,1) W=1 predicted=2 observed=2",
+        "x=(1,0) W=0 predicted=1 observed=1",
+    ]
+
+
 def test_count_at_colength_zero(capsys):
     code, out, _ = run(capsys, ["count", "--q", "2", "--d", "2", "--N", "0"])
     assert code == 0
@@ -164,11 +183,34 @@ def test_negative_colength_exits_2(capsys, argv, flag):
 
 
 def test_cap_exceeded_exits_4(capsys):
+    # The walk at (2, 3, 3) generates exactly 198 submodules.
     code, _, err = run(
-        capsys, ["count", "--q", "2", "--d", "3", "--N", "3", "--cap", "256"]
+        capsys, ["count", "--q", "2", "--d", "3", "--N", "3", "--cap", "197"]
     )
     assert code == 4
     assert "cap" in err
+
+
+def test_cap_at_the_exact_work_runs(capsys):
+    code, out, _ = run(
+        capsys, ["count", "--q", "2", "--d", "3", "--N", "3", "--cap", "198"]
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "n=3 observed=155 predicted=155"
+
+
+def test_cap_counts_submodules_not_ambient_vectors(capsys):
+    # 22 submodules, in a window of 2^21 vectors.
+    code, out, _ = run(capsys, ["count", "--q", "2", "--d", "1", "--N", "21"])
+    assert code == 0
+    assert out.splitlines() == [f"n={n} observed=1 predicted=1" for n in range(22)]
+
+
+def test_composite_modulus_exits_2(capsys):
+    code, out, err = run(capsys, ["count", "--q", "4", "--d", "2", "--N", "2"])
+    assert code == 2
+    assert out == ""
+    assert "modulus must be prime" in err
 
 
 def test_malformed_tuple_exits_2(capsys):
@@ -272,51 +314,3 @@ def test_python_dash_m_runs_the_cli(module):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "1,1"
-
-
-def run_census_script(*argv):
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, str(root / "scripts" / "submodule_census.py"), *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-
-
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (["--N", "-1"], "argument --N: must be nonnegative"),
-        (["--q", "4"], "modulus must be prime"),
-    ],
-)
-def test_census_script_bad_input_exits_2(argv, message):
-    done = run_census_script(*argv)
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert message in done.stderr
-    assert "Traceback" not in done.stderr
-
-
-def test_census_script_table():
-    done = run_census_script("--q", "2", "--d", "2", "--N", "2")
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
-        "T-stable census for q=2, d=2, depth=2",
-        "  colength 0: observed 1, predicted 1 [ok]",
-        "  colength 1: observed 3, predicted 3 [ok]",
-        "  colength 2: observed 7, predicted 7 [ok]",
-        "strata at colength 0:",
-        "  x=(0, 0) W=0 predicted 1 observed 1 [ok]",
-        "strata at colength 1:",
-        "  x=(0, 1) W=1 predicted 2 observed 2 [ok]",
-        "  x=(1, 0) W=0 predicted 1 observed 1 [ok]",
-        "strata at colength 2:",
-        "  x=(0, 2) W=2 predicted 4 observed 4 [ok]",
-        "  x=(1, 1) W=0 predicted 1 observed 1 [ok]",
-        "  x=(2, 0) W=1 predicted 2 observed 2 [ok]",
-    ]

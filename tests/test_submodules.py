@@ -1,8 +1,9 @@
 """The finite-field census backend.
 
 Independent oracles: Galois numbers (all subspaces, counted by Gaussian
-binomials), complete homogeneous sums for the colength totals, and the
-all-pivot-sets scan `oracle.t_stable_subspaces`.
+binomials), complete homogeneous sums for the colength totals, the
+all-pivot-sets scan `oracle.t_stable_subspaces`, and the brute scan
+`brute_strata` that the stratum walk `Census.walk` is pinned against.
 """
 
 import itertools
@@ -15,9 +16,11 @@ from spiralshift import (
     Census,
     Config,
     FeasibilityError,
+    InternalInvariantError,
     ModuleSpace,
     Slot,
     SubmoduleBasis,
+    brute_strata,
     configs_with_size,
     echelonize,
     enumerate_stratum,
@@ -33,6 +36,7 @@ from spiralshift import (
 )
 
 import oracle
+import spiralshift.submodules as submodules
 
 
 def gaussian_binomial(n, k, q):
@@ -204,8 +208,13 @@ class TestEnumerateSubmodules:
             enumerate_submodules(2, 3, 3, cap=2**8)
 
 
+def brute_census(q, d, n, depth=None):
+    strata = brute_strata(q, d, n, depth=depth)
+    return Census(q, d, n, {x: len(group) for x, group in strata.items()})
+
+
 def count_by_colength(q, d, depth):
-    return Census.tally(q, d, depth, enumerate_submodules(q, d, depth)).observed()
+    return brute_census(q, d, depth).observed()
 
 
 class TestCountByColength:
@@ -219,22 +228,22 @@ class TestCountByColength:
         powers = [q**i for i in range(d)]
         expected = [complete_homogeneous(n, powers) for n in range(depth + 1)]
         assert count_by_colength(q, d, depth) == expected
-        assert Census.tally(q, d, depth, []).predicted() == expected
+        assert Census(q, d, depth, {}).predicted() == expected
 
 
 class TestCensus:
     def test_strata_partition_the_colength_classes(self):
         q, d, depth = 2, 2, 3
         subs = enumerate_submodules(q, d, depth)
-        census = Census.tally(q, d, depth, subs)
-        grouped = [m for group in census.strata.values() for m in group]
+        strata = brute_strata(q, d, depth)
+        grouped = [m for group in strata.values() for m in group]
         assert len(grouped) == len(set(grouped))
         assert set(grouped) == {m for m in subs if m.codim <= depth}
-        for x, group in census.strata.items():
+        for x, group in strata.items():
             assert all(m.codim == sum(x.levels) and leading_module(m) == x for m in group)
 
     def test_stratum_rows_pair_prediction_and_observation(self):
-        census = Census.tally(2, 2, 2, enumerate_submodules(2, 2, 2))
+        census = Census.walk(2, 2, 2)
         assert census.stratum_rows(2) == [
             (Config((0, 2)), 2, 4, 4),
             (Config((1, 1)), 0, 1, 1),
@@ -242,7 +251,7 @@ class TestCensus:
         ]
 
     def test_leaves_out_colengths_above_n(self):
-        census = Census.tally(2, 2, 1, enumerate_submodules(2, 2, 3))
+        census = brute_census(2, 2, 1, depth=3)
         assert census.observed() == [1, 3]
         assert census.predicted() == [1, 3]
 
@@ -314,3 +323,81 @@ class TestHermite:
         for diag, group in hermite_strata(2, 3, 2).items():
             for m in group:
                 assert pivot_profile(m, lex_key) == diag
+
+
+class TestWalk:
+    @pytest.mark.parametrize(
+        "q,d,n", [(2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 2, 4), (2, 3, 3)]
+    )
+    def test_equals_brute_oracle_per_stratum(self, monkeypatch, q, d, n):
+        walked = {}
+
+        def recording(x, *args):
+            members = enumerate_stratum(x, *args)
+            walked[x] = set(members)
+            return members
+
+        monkeypatch.setattr(submodules, "enumerate_stratum", recording)
+        census = Census.walk(q, d, n)
+        brute = brute_strata(q, d, n)
+        assert walked == {x: set(group) for x, group in brute.items()}
+        assert census.sizes == {x: len(group) for x, group in brute.items()}
+        assert census.observed() == brute_census(q, d, n).observed() == census.predicted()
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            ("duplicate", "occurs twice"),
+            ("not_t_stable", "is not T-stable"),
+            ("wrong_stratum", "lies outside it"),
+        ],
+    )
+    def test_member_guards_fire(self, monkeypatch, fault, message):
+        def faulty(x, q, depth, cap):
+            if fault == "wrong_stratum":
+                return enumerate_stratum(Config.origin(x.d), q, depth, cap)
+            members = enumerate_stratum(x, q, depth, cap)
+            if fault == "duplicate":
+                return members + members[:1]
+            space = members[0].space
+            return [SubmoduleBasis.from_vectors(space, [space.monomial_vector(Slot(1, 0))])]
+
+        monkeypatch.setattr(submodules, "enumerate_stratum", faulty)
+        with pytest.raises(InternalInvariantError, match=message):
+            Census.walk(2, 2, 2)
+
+
+class TestExactCap:
+    def test_walk_counts_its_members(self):
+        # 1 + 7 + 35 + 155 submodules of colength at most 3 in (F_2[[T]])^3.
+        with pytest.raises(FeasibilityError, match="cap 197"):
+            Census.walk(2, 3, 3, cap=197)
+        assert sum(Census.walk(2, 3, 3, cap=198).observed()) == 198
+
+    def test_stratum_counts_its_members(self):
+        with pytest.raises(FeasibilityError):
+            enumerate_stratum(Config((0, 2)), 3, cap=8)
+        assert len(enumerate_stratum(Config((0, 2)), 3, cap=9)) == 9
+
+    def test_scan_counts_its_candidates(self):
+        # Profiles of the depth-2, width-2 window and their free cells, by
+        # hand: (0,2) has 3, (0,1), (1,2) and (2,0) have 1, the rest none.
+        with pytest.raises(FeasibilityError):
+            enumerate_submodules(2, 2, 2, cap=18)
+        enumerate_submodules(2, 2, 2, cap=19)
+
+    def test_matrices_count_their_members(self):
+        # Diagonals (0,2), (1,1), (2,0) have 2, 1, 0 cells below them.
+        with pytest.raises(FeasibilityError):
+            hermite_strata(2, 2, 2, cap=6)
+        assert sum(len(g) for g in hermite_strata(2, 2, 2, cap=7).values()) == 7
+
+    def test_modulus_is_checked_before_the_cap(self):
+        for build in (
+            lambda: Census.walk(4, 2, 2, cap=0),
+            lambda: enumerate_submodules(4, 2, 2, cap=0),
+            lambda: enumerate_stratum(Config((1, 0)), 4, cap=0),
+            lambda: hermite_strata(4, 2, 1, cap=0),
+        ):
+            with pytest.raises(ValueError, match="prime"):
+                build()

@@ -300,17 +300,36 @@ def test_verify_failure_exits_5_and_names_the_counterexample(capsys, monkeypatch
     ]
 
 
-@pytest.mark.parametrize("module", ["spiralshift", "spiralshift.cli"])
-def test_python_dash_m_runs_the_cli(module):
+def run_module(module, *argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", module, "decompose", "--d", "2", "--x", "2,0"],
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("module", ["spiralshift", "spiralshift.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    done = run_module(module, "decompose", "--d", "2", "--x", "2,0")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "1,1"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--N", "-1"], "argument --N: must be nonnegative"),
+        (["--q", "4"], "modulus must be prime"),
+    ],
+)
+def test_census_bad_input_exits_2_without_traceback(argv, message):
+    done = run_module("spiralshift", "count", "--q", "2", "--d", "2", "--N", "2", *argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr

@@ -6,6 +6,7 @@ both orders to show they commute, and reports the statistics along the way.
 """
 
 import argparse
+import sys
 
 from spiralshift import (
     Config,
@@ -15,6 +16,7 @@ from spiralshift import (
     sorted_slots,
     weight,
 )
+from spiralshift.cli import parse_levels
 
 
 def describe(label, x):
@@ -28,7 +30,14 @@ def main():
     parser.add_argument("--x", default="0,2,1,0,1", help="comma-separated levels")
     args = parser.parse_args()
 
-    x = Config(tuple(int(p) for p in args.x.split(",")))
+    try:
+        levels = parse_levels(args.x)
+        if len(levels) < 3:
+            raise ValueError(f"--x needs at least 3 levels for the rank-3 operator, got {args.x!r}")
+        x = Config(levels)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     describe("start", x)
 
     a = shift_from(x, 3)
@@ -44,7 +53,8 @@ def main():
 
     exponents = decompose(x)
     print(f"exponents reaching {x.levels} from the origin: {exponents.steps}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -38,7 +38,7 @@ from .submodules import (
     Census,
     brute_strata,
     enumerate_stratum,
-    hermite_enumerate,
+    hermite_strata,
 )
 
 
@@ -258,8 +258,9 @@ def check_stratum_law(profile: Profile) -> CheckResult:
                 if len(set(direct)) != len(direct) or set(direct) != brute:
                     return False, f"generator enumeration disagrees on stratum {x.levels} at q={q}"
                 colength_class |= brute
-            matrices = hermite_enumerate(q, d, n, depth=depth, cap=profile.cap)
-            if len(set(matrices)) != len(matrices) or set(matrices) != colength_class:
+            groups = hermite_strata(q, d, n, depth=depth, cap=profile.cap).values()
+            matrices = set().union(*groups)
+            if len(matrices) != sum(map(len, groups)) or matrices != colength_class:
                 return False, f"matrix enumeration disagrees at q={q}, d={d}, colength {n}"
         if unlabelled:
             return False, f"unlabelled submodules at q={q}, d={d}, profiles {list(unlabelled)}"

@@ -13,7 +13,13 @@ height order `hlex_key` (level, then seat), whose reduced echelon bases are
 the canonical identity of a submodule and whose per-seat pivot profile is
 the leading-term stratum label, and the seat-major order `lex_key` (seat,
 then level), under which the strata are the diagonals of the
-lower-triangular generator matrices enumerated by `hermite_strata`.
+lower-triangular generator matrices.  Both stratifications come from one
+generator: for a profile x, the generator of seat i leads at level x_i and
+carries free coefficients from F_q on the monomials of the other seats that
+lie above its lead in the order and below their own seat's lead.
+Under `hlex_key` that family is the stratum `enumerate_stratum` returns,
+of q**W(x) members; under `lex_key` it is the group of Hermite matrices
+with diagonal x that `hermite_strata` returns.
 
 `Census.walk` generates every stratum of colength at most n with
 `enumerate_stratum`, checks each member, and keeps only the stratum sizes;
@@ -33,7 +39,6 @@ from .cylinder import (
     Config,
     InternalInvariantError,
     Slot,
-    compositions,
     configs_with_size,
     slot_from_index,
     slot_index,
@@ -192,10 +197,6 @@ class SubmoduleBasis:
     def pivot_positions(self) -> tuple[int, ...]:
         """Flat position of each row's pivot: in height order, its first nonzero entry."""
         return tuple(next(p for p, c in enumerate(row) if c) for row in self.rows)
-
-    def contains(self, vec: tuple[int, ...]) -> bool:
-        remainder = _reduce(self.space, self.rows, self.pivot_positions(), vec)
-        return not any(remainder)
 
     def is_t_stable(self) -> bool:
         pivots = self.pivot_positions()
@@ -374,7 +375,7 @@ class Census:
         depth = window_depth(n)
         ModuleSpace(q, d, depth)  # rejects a bad q or d before the cap is checked
         _check_work(
-            (q ** sum(map(len, _stratum_cells(x))) for x in _strata_up_to(d, n)),
+            (q ** sum(map(len, _family_cells(x, hlex_key))) for x in _strata_up_to(d, n)),
             cap,
             "submodules to walk",
         )
@@ -435,11 +436,13 @@ def _module_closure(
     return vecs
 
 
-def _stratum_cells(x: Config) -> list[list[Slot]]:
+def _family_cells(x: Config, key: MonomialKey) -> list[list[Slot]]:
     """Per seat, the free cells of the generator whose leading monomial is seat i at level x_i.
 
-    They are exactly the monomials that sit strictly above the leading one
-    while staying below their own seat's leading level.
+    They are the monomials above the leading one in the order `key` that lie
+    on another seat, below that seat's own leading level.  Under `hlex_key`
+    they number weight(x); under `lex_key` they are the cells below the
+    diagonal x of a lower-triangular generator matrix, column by column.
     """
     return [
         [
@@ -447,29 +450,23 @@ def _stratum_cells(x: Config) -> list[list[Slot]]:
             for j, nj in enumerate(x.levels, start=1)
             if j != seat
             for a in range(nj)
-            if hlex_key(Slot(j, a)) > hlex_key(Slot(seat, level))
+            if key(Slot(j, a)) > key(Slot(seat, level))
         ]
         for seat, level in enumerate(x.levels, start=1)
     ]
 
 
-def enumerate_stratum(
-    x: Config, q: int, depth: int | None = None, cap: int = DEFAULT_CAP
-) -> list[SubmoduleBasis]:
-    """All submodules whose leading-term profile is exactly x.
+def _family(x: Config, q: int, depth: int, key: MonomialKey) -> list[SubmoduleBasis]:
+    """The submodules spanned by one generator per seat, over every filling of the free cells.
 
-    One generator per seat: its leading monomial is seat i at level x_i, and
-    its coefficients on the free cells of `_stratum_cells` range over F_q;
-    their number, q to the free-cell count, may not exceed `cap`.  The
-    census tests pin the count to q**weight(x) and the output to the
-    brute-force stratum.
+    Seat i's generator is its leading monomial (seat i, level x_i), dropped
+    when the window truncates it, plus coefficients from F_q on the cells
+    of `_family_cells(x, key)`.  Output is sorted.
     """
-    depth = window_depth(sum(x.levels), depth)
     space = ModuleSpace(q, x.d, depth)
     leads = [Slot(i, n) for i, n in enumerate(x.levels, start=1)]
-    free_cells = _stratum_cells(x)
+    free_cells = _family_cells(x, key)
     total = sum(len(cells) for cells in free_cells)
-    _check_work([q**total], cap, "submodules in the stratum")
     for lead, cells in zip(leads, free_cells):
         if lead.level >= depth and cells:
             # Unreachable: depth >= colength forces the cell list empty here.
@@ -491,21 +488,25 @@ def enumerate_stratum(
     return found
 
 
-def _below_diagonal(diag: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    """The free cells (seat i, column j, degree a) of a lower-triangular matrix with that diagonal."""
-    d = len(diag)
-    return [
-        (i, j, a)
-        for j in range(1, d + 1)
-        for i in range(j + 1, d + 1)
-        for a in range(diag[i - 1])
-    ]
+def enumerate_stratum(
+    x: Config, q: int, depth: int | None = None, cap: int = DEFAULT_CAP
+) -> list[SubmoduleBasis]:
+    """All submodules whose leading-term profile is exactly x: the hlex family of x.
+
+    Their number, q to the free-cell count, may not exceed `cap`.  The
+    census tests pin the count to q**weight(x) and the output to the
+    brute-force stratum.
+    """
+    depth = window_depth(sum(x.levels), depth)
+    ModuleSpace(q, x.d, depth)  # rejects a bad q before the cap is checked
+    _check_work([q ** sum(map(len, _family_cells(x, hlex_key)))], cap, "submodules in the stratum")
+    return _family(x, q, depth, hlex_key)
 
 
 def hermite_strata(
     q: int, d: int, colength: int, depth: int | None = None, cap: int = DEFAULT_CAP
 ) -> dict[tuple[int, ...], list[SubmoduleBasis]]:
-    """Colength-n submodules grouped by lower-triangular generator matrices.
+    """Colength-n submodules grouped by lower-triangular generator matrices: the lex families.
 
     Column j of a matrix is the generator T^{n_j} u_j plus, on each seat
     i > j, a polynomial of degree below n_i; the group for a diagonal
@@ -515,38 +516,10 @@ def hermite_strata(
     class exactly.
     """
     depth = window_depth(colength, depth)
-    space = ModuleSpace(q, d, depth)
+    ModuleSpace(q, d, depth)  # rejects a bad q or d before the cap is checked
     _check_work(
-        (q ** len(_below_diagonal(diag)) for diag in compositions(colength, d)),
+        (q ** sum(map(len, _family_cells(x, lex_key))) for x in configs_with_size(d, colength)),
         cap,
         "generator matrices to build",
     )
-    out: dict[tuple[int, ...], list[SubmoduleBasis]] = {}
-    for diag in compositions(colength, d):
-        cells = _below_diagonal(diag)
-        group = []
-        for assign in itertools.product(range(q), repeat=len(cells)):
-            cols = [[0] * space.dim for _ in range(d)]
-            for j in range(1, d + 1):
-                if diag[j - 1] < depth:
-                    cols[j - 1][space.index_of(Slot(j, diag[j - 1]))] = 1
-            for (i, j, a), c in zip(cells, assign):
-                cols[j - 1][space.index_of(Slot(i, a))] = c
-            gens = [tuple(col) for col in cols]
-            group.append(SubmoduleBasis.from_vectors(space, _module_closure(space, gens)))
-        group.sort(key=lambda m: (m.codim, m.rows))
-        out[diag] = group
-    return out
-
-
-def hermite_enumerate(
-    q: int, d: int, colength: int, depth: int | None = None, cap: int = DEFAULT_CAP
-) -> list[SubmoduleBasis]:
-    """All colength-n submodules via the triangular matrix normal form."""
-    flat = [
-        m
-        for group in hermite_strata(q, d, colength, depth=depth, cap=cap).values()
-        for m in group
-    ]
-    flat.sort(key=lambda m: (m.codim, m.rows))
-    return flat
+    return {x.levels: _family(x, q, depth, lex_key) for x in configs_with_size(d, colength)}

@@ -300,17 +300,24 @@ def test_verify_failure_exits_5_and_names_the_counterexample(capsys, monkeypatch
     ]
 
 
-def run_module(module, *argv):
-    src = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*argv):
+    """Run the interpreter on argv in a subprocess, with the package's source on its path."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", module, *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def run_module(module, *argv):
+    return run_python("-m", module, *argv)
 
 
 @pytest.mark.parametrize("module", ["spiralshift", "spiralshift.cli"])
@@ -333,3 +340,23 @@ def test_census_bad_input_exits_2_without_traceback(argv, message):
     assert done.stdout == ""
     assert message in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_worked_example_script_default_run():
+    done = run_python(str(ROOT / "scripts" / "worked_example.py"))
+    assert done.returncode == 0, done.stderr
+    assert "commutes: True" in done.stdout
+    assert "(0, 2, 2, 0, 0)" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "levels,message",
+    [("1,a", "expected a comma-separated integer tuple"), ("1,0", "at least 3 levels")],
+)
+def test_worked_example_script_bad_levels_exit_2_without_traceback(levels, message):
+    done = run_python(str(ROOT / "scripts" / "worked_example.py"), "--x", levels)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ")
+    assert message in done.stderr
+    assert len(done.stderr.splitlines()) == 1

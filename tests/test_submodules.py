@@ -25,7 +25,6 @@ from spiralshift import (
     echelonize,
     enumerate_stratum,
     enumerate_submodules,
-    hermite_enumerate,
     hermite_strata,
     hlex_key,
     leading_module,
@@ -294,14 +293,19 @@ class TestStrata:
         assert enumerate_stratum(x, 2) == enumerate_stratum(x, 2, depth=2)
 
 
+def hermite_members(q, d, n, depth=None):
+    """Every Hermite group's members, concatenated."""
+    return [m for group in hermite_strata(q, d, n, depth=depth).values() for m in group]
+
+
 class TestHermite:
     def test_colength_zero(self):
-        got = hermite_enumerate(2, 2, 0)
+        got = hermite_members(2, 2, 0)
         assert len(got) == 1
         assert got[0].codim == 0
 
     def test_three_matrices_at_colength_one(self):
-        assert len(hermite_enumerate(2, 2, 1)) == 3
+        assert len(hermite_members(2, 2, 1)) == 3
 
     def test_group_sizes_follow_below_diagonal_cells(self):
         for q, d, n in ((2, 2, 2), (3, 2, 2), (2, 3, 2)):
@@ -315,7 +319,7 @@ class TestHermite:
             subs = enumerate_submodules(q, d, depth)
             for n in range(depth + 1):
                 brute = {m for m in subs if m.codim == n}
-                matrices = hermite_enumerate(q, d, n, depth=depth)
+                matrices = hermite_members(q, d, n, depth=depth)
                 assert len(set(matrices)) == len(matrices)
                 assert set(matrices) == brute
 
@@ -323,6 +327,37 @@ class TestHermite:
         for diag, group in hermite_strata(2, 3, 2).items():
             for m in group:
                 assert pivot_profile(m, lex_key) == diag
+
+
+def below_diagonal(diag):
+    """The cells (seat i, column j, degree a) below the diagonal of a lower-triangular matrix."""
+    d = len(diag)
+    return [
+        (i, j, a)
+        for j in range(1, d + 1)
+        for i in range(j + 1, d + 1)
+        for a in range(diag[i - 1])
+    ]
+
+
+SMALL_CONFIGS = [x for d in range(1, 5) for n in range(6) for x in configs_with_size(d, n)]
+
+
+class TestFamilyCells:
+    def test_lex_cells_are_the_cells_below_the_diagonal(self):
+        for x in SMALL_CONFIGS:
+            cells = submodules._family_cells(x, lex_key)
+            flat = [
+                (slot.seat, column, slot.level)
+                for column, seat_cells in enumerate(cells, start=1)
+                for slot in seat_cells
+            ]
+            assert flat == below_diagonal(x.levels), x
+
+    def test_hlex_cells_number_the_weight(self):
+        # The stratum law at the cell level: stratum x has q**weight(x) members for every q.
+        for x in SMALL_CONFIGS:
+            assert sum(map(len, submodules._family_cells(x, hlex_key))) == weight(x), x
 
 
 class TestWalk:

@@ -33,13 +33,7 @@ from .series import (
     sum_over_configs,
 )
 from .stats import content, multiindex_content, size, weight, weight_by_seats
-from .submodules import (
-    DEFAULT_CAP,
-    Census,
-    brute_strata,
-    enumerate_stratum,
-    hermite_strata,
-)
+from .submodules import Census, brute_strata, enumerate_stratum, hermite_strata
 
 
 @dataclass(frozen=True)
@@ -55,7 +49,6 @@ class Profile:
     module_grid: tuple[tuple[int, int, int], ...]  # (q, d, depth)
     orbit_trials: int
     orbit_t: int
-    cap: int = DEFAULT_CAP
 
 
 QUICK = Profile(
@@ -235,7 +228,7 @@ def check_partition_bijection(profile: Profile) -> CheckResult:
 def check_submodule_counts(profile: Profile) -> CheckResult:
     """The stratum walk's colength totals match the product series at numeric q."""
     for q, d, depth in profile.module_grid:
-        census = Census.walk(q, d, depth, cap=profile.cap)
+        census = Census.walk(q, d, depth)
         observed, predicted = census.observed(), census.predicted()
         if observed != predicted:
             return False, f"q={q}, d={d}, depth={depth}: {observed} vs {predicted}"
@@ -246,7 +239,7 @@ def check_submodule_counts(profile: Profile) -> CheckResult:
 def check_stratum_law(profile: Profile) -> CheckResult:
     """Brute-force stratum sizes are q**weight; the generator and matrix enumerations match them."""
     for q, d, depth in profile.module_grid:
-        unlabelled = brute_strata(q, d, depth, cap=profile.cap)
+        unlabelled = brute_strata(q, d, depth)
         census = Census(q, d, depth, {x: len(group) for x, group in unlabelled.items()})
         for n in range(depth + 1):
             colength_class: set = set()
@@ -254,11 +247,11 @@ def check_stratum_law(profile: Profile) -> CheckResult:
                 brute = set(unlabelled.pop(x, ()))
                 if observed != predicted:
                     return False, f"stratum {x.levels} at q={q}: {observed} vs {predicted}"
-                direct = enumerate_stratum(x, q, depth=depth, cap=profile.cap)
+                direct = enumerate_stratum(x, q, depth=depth)
                 if len(set(direct)) != len(direct) or set(direct) != brute:
                     return False, f"generator enumeration disagrees on stratum {x.levels} at q={q}"
                 colength_class |= brute
-            groups = hermite_strata(q, d, n, depth=depth, cap=profile.cap).values()
+            groups = hermite_strata(q, d, n, depth=depth).values()
             matrices = set().union(*groups)
             if len(matrices) != sum(map(len, groups)) or matrices != colength_class:
                 return False, f"matrix enumeration disagrees at q={q}, d={d}, colength {n}"

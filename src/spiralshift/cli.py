@@ -143,13 +143,8 @@ def cmd_orbit(args) -> Findings:
     )
 
 
-def census(args, n: int) -> Census:
-    """The census up to colength n at the command's --q, --d and --cap."""
-    return Census.walk(args.q, args.d, n, cap=args.cap)
-
-
 def cmd_count(args) -> Findings:
-    totals = census(args, args.N)
+    totals = Census.walk(args.q, args.d, args.N, cap=args.cap)
     observed, predicted = totals.observed(), totals.predicted()
     lines = [
         f"n={n} observed={o} predicted={p}"
@@ -163,9 +158,10 @@ def cmd_count(args) -> Findings:
 
 
 def cmd_strata(args) -> Findings:
+    census = Census.walk(args.q, args.d, args.n, cap=args.cap)
     rows = [
         {"x": list(x.levels), "weight": w, "predicted": p, "observed": o}
-        for x, w, p, o in census(args, args.n).stratum_rows(args.n)
+        for x, w, p, o in census.stratum_rows(args.n)
     ]
     lines = [
         "x=({}) W={} predicted={} observed={}".format(
@@ -255,14 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--N", type=nonnegative, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=nonnegative, default=DEFAULT_CAP)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("strata", parents=[common], help="stratum table at one colength")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=nonnegative, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=nonnegative, default=DEFAULT_CAP)
     p.set_defaults(func=cmd_strata)
 
     p = sub.add_parser("verify", parents=[common], help="run the verification suite")

@@ -135,21 +135,10 @@ class MultiIndex:
     def zero(cls, d: int) -> "MultiIndex":
         return cls((0,) * d)
 
-    @classmethod
-    def unit(cls, j: int, d: int) -> "MultiIndex":
-        if not 1 <= j <= d:
-            raise ValueError(f"component must lie in [1, {d}], got {j}")
-        return cls(tuple(1 if k == j else 0 for k in range(1, d + 1)))
-
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         if self.d != other.d:
             raise ValueError("dimension mismatch")
         return MultiIndex(tuple(a + b for a, b in zip(self.steps, other.steps)))
-
-
-def shift_all(x: Config) -> Config:
-    """Move every point one spiral step up; closed form (n_d + 1, n_1, ..., n_{d-1})."""
-    return Config((x.levels[-1] + 1,) + x.levels[:-1])
 
 
 def _height_order(levels: tuple[int, ...]) -> list[int]:
@@ -166,9 +155,9 @@ def shift_from(x: Config, j: int, k: int = 1) -> Config:
     The j-1 lowest points stay put; every other point moves up the spiral
     to the next seat occupied by the moving group.  Exactly one mover (the
     one on the group's highest seat) gains a level, so the total level
-    rises by one per application.  Rank 1 moves everything and coincides
-    with `shift_all`.  Computed in closed form: each mover's sub-index
-    (see the module docstring) rises by k.
+    rises by one per application.  Rank 1 moves every point one spiral
+    step up: (n_d + 1, n_1, ..., n_{d-1}).  Computed in closed form: each
+    mover's sub-index (see the module docstring) rises by k.
     """
     d = x.d
     if not 1 <= j <= d:

@@ -48,10 +48,6 @@ class BiPoly:
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
-    def zero(cls, t_cut: int) -> "BiPoly":
-        return cls(t_cut, {})
-
-    @classmethod
     def one(cls, t_cut: int) -> "BiPoly":
         return cls(t_cut, {(0, 0): 1})
 

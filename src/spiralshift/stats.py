@@ -1,23 +1,15 @@
-"""Size, pairwise distance, weight, and content of cylinder configurations."""
+"""Size, weight, and content of cylinder configurations."""
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cylinder import Config, MultiIndex, Slot, slot_index
+from .cylinder import Config, MultiIndex, slot_index
 
 
 def size(x: Config) -> int:
     """Total level of a configuration; rises by one under every operator."""
     return sum(x.levels)
-
-
-def distance(lower: Slot, upper: Slot, d: int) -> int:
-    """Floor of the height gap between two slots, the strictly lower one first."""
-    gap = slot_index(upper, d) - slot_index(lower, d)
-    if gap <= 0:
-        raise ValueError("distance requires the first slot strictly below the second")
-    return gap // d
 
 
 def weight(x: Config) -> int:

@@ -21,12 +21,15 @@ Under `hlex_key` that family is the stratum `enumerate_stratum` returns,
 of q**W(x) members; under `lex_key` it is the group of Hermite matrices
 with diagonal x that `hermite_strata` returns.
 
-`Census.walk` generates every stratum of colength at most n with
-`enumerate_stratum`, checks each member, and keeps only the stratum sizes;
-the colength totals and the stratum sizes, with their predictions, are read
-off it.  The scan `enumerate_submodules`, grouped by `brute_strata`, is the
-independent oracle the walk is tested against.  Every enumerator counts its
-exact work (members or candidates) before it starts and refuses past `cap`.
+`Census.walk`, `enumerate_stratum` and `hermite_strata` share one capped
+path, `_families`: it validates q and d, sums the members of the requested
+families against `cap`, and only then yields them one profile at a time.
+The walk checks each stratum's members as they come and keeps only the
+stratum sizes; the colength totals and the stratum sizes, with their
+predictions, are read off it.  The scan `enumerate_submodules`, grouped by
+`brute_strata`, is the independent oracle the walk is tested against.
+Every enumerator counts its exact work (members or candidates) before it
+starts and refuses past `cap`.
 """
 
 from __future__ import annotations
@@ -113,14 +116,6 @@ class ModuleSpace:
     def scan_order(self, key: MonomialKey) -> tuple[int, ...]:
         """Flat positions listed from lowest monomial up, in the order `key` sorts slots."""
         return tuple(sorted(range(self.dim), key=lambda p: key(self.slot_of(p))))
-
-    def zero_vector(self) -> tuple[int, ...]:
-        return (0,) * self.dim
-
-    def monomial_vector(self, slot: Slot) -> tuple[int, ...]:
-        vec = [0] * self.dim
-        vec[self.index_of(slot)] = 1
-        return tuple(vec)
 
     def mul_by_t(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         """Shift every seat one level up; the top level falls off."""
@@ -369,18 +364,13 @@ class Census:
     def walk(cls, q: int, d: int, n: int, cap: int = DEFAULT_CAP) -> "Census":
         """Generate every stratum of size at most n and count its checked members.
 
-        The members to generate, q to each stratum's free-cell count summed
-        over the strata, may not exceed `cap`.
+        The strata come one at a time from `_families`, so the members to
+        generate, summed over the strata, may not exceed `cap`.
         """
-        depth = window_depth(n)
-        ModuleSpace(q, d, depth)  # rejects a bad q or d before the cap is checked
-        _check_work(
-            (q ** sum(map(len, _family_cells(x, hlex_key))) for x in _strata_up_to(d, n)),
-            cap,
-            "submodules to walk",
+        strata = _families(
+            q, d, _strata_up_to(d, n), window_depth(n), hlex_key, cap, "submodules to walk"
         )
-        sizes = {x: _walk_stratum(x, q, depth, cap) for x in _strata_up_to(d, n)}
-        return cls(q, d, n, sizes)
+        return cls(q, d, n, {x: _checked_size(x, members) for x, members in strata})
 
     def observed(self) -> list[int]:
         """Entry k counts the submodules of colength k."""
@@ -403,15 +393,13 @@ class Census:
         return rows
 
 
-def _walk_stratum(x: Config, q: int, depth: int, cap: int) -> int:
+def _checked_size(x: Config, members: list[SubmoduleBasis]) -> int:
     """The number of members of stratum x, each checked independently of the generator.
 
     Every member must be T-stable, have leading module x, and occur once;
     since the leading module is a function of the submodule, the strata are
-    then disjoint too.  A failure raises InternalInvariantError.  The
-    members are dropped on return.
+    then disjoint too.  A failure raises InternalInvariantError.
     """
-    members = enumerate_stratum(x, q, depth, cap)
     for m in members:
         if not m.is_t_stable():
             raise InternalInvariantError(f"stratum {x.levels}: member {m.rows} is not T-stable")
@@ -488,6 +476,22 @@ def _family(x: Config, q: int, depth: int, key: MonomialKey) -> list[SubmoduleBa
     return found
 
 
+def _families(
+    q: int, d: int, xs: Iterable[Config], depth: int, key: MonomialKey, cap: int, what: str
+) -> Iterator[tuple[Config, list[SubmoduleBasis]]]:
+    """(x, family of x under `key`) for each profile x, after one check of the total work.
+
+    q and d are validated first, then the members of all the families, q
+    to each family's free-cell count, are summed against `cap`; only then
+    is any family built, one at a time.
+    """
+    ModuleSpace(q, d, depth)  # rejects a bad q or d before the cap is checked
+    xs = list(xs)
+    _check_work((q ** sum(map(len, _family_cells(x, key))) for x in xs), cap, what)
+    for x in xs:
+        yield x, _family(x, q, depth, key)
+
+
 def enumerate_stratum(
     x: Config, q: int, depth: int | None = None, cap: int = DEFAULT_CAP
 ) -> list[SubmoduleBasis]:
@@ -498,9 +502,8 @@ def enumerate_stratum(
     brute-force stratum.
     """
     depth = window_depth(sum(x.levels), depth)
-    ModuleSpace(q, x.d, depth)  # rejects a bad q before the cap is checked
-    _check_work([q ** sum(map(len, _family_cells(x, hlex_key)))], cap, "submodules in the stratum")
-    return _family(x, q, depth, hlex_key)
+    [(_, members)] = _families(q, x.d, [x], depth, hlex_key, cap, "submodules in the stratum")
+    return members
 
 
 def hermite_strata(
@@ -516,10 +519,6 @@ def hermite_strata(
     class exactly.
     """
     depth = window_depth(colength, depth)
-    ModuleSpace(q, d, depth)  # rejects a bad q or d before the cap is checked
-    _check_work(
-        (q ** sum(map(len, _family_cells(x, lex_key))) for x in configs_with_size(d, colength)),
-        cap,
-        "generator matrices to build",
-    )
-    return {x.levels: _family(x, q, depth, lex_key) for x in configs_with_size(d, colength)}
+    xs = configs_with_size(d, colength)
+    families = _families(q, d, xs, depth, lex_key, cap, "generator matrices to build")
+    return {x.levels: members for x, members in families}

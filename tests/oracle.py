@@ -4,11 +4,15 @@ The operators follow the definition literally: each mover walks up the
 spiral one position at a time until it reaches a seat of the moving group,
 and powers and actions are loops of single applications.  The closed forms
 in `spiralshift.cylinder` are tested against them; they share only the
-value types and the linear spiral index.
+value types and the linear spiral index.  `shift_all` is the closed form of
+one rank-1 step, `unit` the exponent vector of one rank-j step, and
+`distance` the floored height gap whose sum over pairs of points defines
+the weight.
 
 The census reference scans every reduced echelon form of every pivot set
 and tests T-stability by listing the span, so it shares nothing with
-`enumerate_submodules` but the basis value type.
+`enumerate_submodules` but the basis value type.  `monomial_vector` builds
+the flat vector of one monomial of a window.
 """
 
 import itertools
@@ -23,6 +27,26 @@ from spiralshift import (
     slot_index,
     sorted_slots,
 )
+
+
+def shift_all(x: Config) -> Config:
+    """Move every point one spiral step up; closed form (n_d + 1, n_1, ..., n_{d-1})."""
+    return Config((x.levels[-1] + 1,) + x.levels[:-1])
+
+
+def unit(j: int, d: int) -> MultiIndex:
+    """The exponents of one application of the rank-j operator."""
+    if not 1 <= j <= d:
+        raise ValueError(f"component must lie in [1, {d}], got {j}")
+    return MultiIndex(tuple(1 if k == j else 0 for k in range(1, d + 1)))
+
+
+def distance(lower: Slot, upper: Slot, d: int) -> int:
+    """Floor of the height gap between two slots, the strictly lower one first."""
+    gap = slot_index(upper, d) - slot_index(lower, d)
+    if gap <= 0:
+        raise ValueError("distance requires the first slot strictly below the second")
+    return gap // d
 
 
 def shift_slot(slot: Slot, steps: int, d: int) -> Slot:
@@ -75,6 +99,13 @@ def preimages(d: int, n: int) -> dict[Config, list[MultiIndex]]:
         a = MultiIndex(steps)
         found.setdefault(act(a, origin), []).append(a)
     return found
+
+
+def monomial_vector(space, slot: Slot) -> tuple[int, ...]:
+    """The flat vector of the monomial `slot` in the window `space`."""
+    vec = [0] * space.dim
+    vec[space.index_of(slot)] = 1
+    return tuple(vec)
 
 
 def _echelon_forms(q: int, dim: int):

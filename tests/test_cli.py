@@ -171,6 +171,8 @@ def test_count_at_colength_zero(capsys):
     [
         (["count", "--q", "2", "--d", "2", "--N", "-1"], "--N"),
         (["strata", "--q", "2", "--d", "2", "--n", "-1"], "--n"),
+        (["count", "--q", "2", "--d", "2", "--N", "2", "--cap", "-1"], "--cap"),
+        (["strata", "--q", "2", "--d", "2", "--n", "2", "--cap", "-1"], "--cap"),
     ],
 )
 def test_negative_colength_exits_2(capsys, argv, flag):

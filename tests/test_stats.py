@@ -1,4 +1,7 @@
-"""Size, distance, weight, and content, checked against exact fraction heights."""
+"""Size, weight, and content, checked against exact fraction heights.
+
+The pairwise distance that defines the weight is `oracle.distance`.
+"""
 
 import math
 from fractions import Fraction
@@ -13,14 +16,13 @@ from spiralshift import (
     act,
     configs_with_size,
     content,
-    distance,
     multiindex_content,
-    shift_all,
     shift_from,
     size,
     weight,
     weight_by_seats,
 )
+from oracle import distance, shift_all, unit
 from strategies import config_with_exponents, config_with_rank, configs
 
 
@@ -68,6 +70,8 @@ class TestDistance:
             for lower in ranked[:k]:
                 expected = math.floor(height(upper, x.d) - height(lower, x.d))
                 assert distance(lower, upper, x.d) == expected
+        pairs = sum(distance(a, b, x.d) for k, b in enumerate(ranked) for a in ranked[:k])
+        assert weight(x) == pairs
 
 
 class TestWeight:
@@ -121,7 +125,7 @@ class TestContent:
         assert multiindex_content(MultiIndex.zero(4)) == (0, 0)
         for d in (1, 3, 5):
             for j in range(1, d + 1):
-                assert multiindex_content(MultiIndex.unit(j, d)) == (1, j - 1)
+                assert multiindex_content(unit(j, d)) == (1, j - 1)
         assert multiindex_content(MultiIndex((1, 1))) == (2, 1)
 
     @given(config_with_exponents())

@@ -36,6 +36,7 @@ from spiralshift import (
 
 import oracle
 import spiralshift.submodules as submodules
+from oracle import monomial_vector
 
 
 def gaussian_binomial(n, k, q):
@@ -82,21 +83,21 @@ class TestModuleSpace:
 
     def test_shift_examples(self):
         space = ModuleSpace(2, 2, 3)
-        u1 = space.monomial_vector(Slot(1, 0))
-        assert space.mul_by_t(u1) == space.monomial_vector(Slot(1, 1))
-        top = space.monomial_vector(Slot(2, 2))
-        assert space.mul_by_t(top) == space.zero_vector()
+        u1 = monomial_vector(space, Slot(1, 0))
+        assert space.mul_by_t(u1) == monomial_vector(space, Slot(1, 1))
+        top = monomial_vector(space, Slot(2, 2))
+        assert space.mul_by_t(top) == (0,) * space.dim
         mixed = tuple(
             a + b
             for a, b in zip(
-                space.monomial_vector(Slot(1, 0)), space.monomial_vector(Slot(2, 1))
+                monomial_vector(space, Slot(1, 0)), monomial_vector(space, Slot(2, 1))
             )
         )
         shifted = space.mul_by_t(mixed)
         expected = tuple(
             a + b
             for a, b in zip(
-                space.monomial_vector(Slot(1, 1)), space.monomial_vector(Slot(2, 2))
+                monomial_vector(space, Slot(1, 1)), monomial_vector(space, Slot(2, 2))
             )
         )
         assert shifted == expected
@@ -111,11 +112,11 @@ class TestModuleSpace:
 class TestEchelonize:
     def test_zero_gives_empty_basis(self):
         space = ModuleSpace(2, 2, 2)
-        assert echelonize(space, [space.zero_vector()]) == ()
+        assert echelonize(space, [(0,) * space.dim]) == ()
 
     def test_splits_combined_generators(self):
         space = ModuleSpace(2, 2, 1)
-        u1 = space.monomial_vector(Slot(1, 0))
+        u1 = monomial_vector(space, Slot(1, 0))
         u1_plus_u2 = (1, 1)
         assert echelonize(space, [u1, u1_plus_u2]) == ((1, 0), (0, 1))
 
@@ -142,12 +143,12 @@ class TestLeadingModule:
     def test_full_module_and_simple_quotients(self):
         space = ModuleSpace(2, 3, 2)
         full = SubmoduleBasis.from_vectors(
-            space, [space.monomial_vector(space.slot_of(k)) for k in range(space.dim)]
+            space, [monomial_vector(space, space.slot_of(k)) for k in range(space.dim)]
         )
         assert leading_module(full) == Config((0, 0, 0))
 
-        gens = [space.monomial_vector(Slot(1, 1))] + [
-            space.monomial_vector(Slot(i, 0)) for i in (2, 3)
+        gens = [monomial_vector(space, Slot(1, 1))] + [
+            monomial_vector(space, Slot(i, 0)) for i in (2, 3)
         ]
         closed = gens + [space.mul_by_t(g) for g in gens]
         m = SubmoduleBasis.from_vectors(space, closed)
@@ -365,14 +366,15 @@ class TestWalk:
         "q,d,n", [(2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 2, 4), (2, 3, 3)]
     )
     def test_equals_brute_oracle_per_stratum(self, monkeypatch, q, d, n):
+        family = submodules._family
         walked = {}
 
         def recording(x, *args):
-            members = enumerate_stratum(x, *args)
+            members = family(x, *args)
             walked[x] = set(members)
             return members
 
-        monkeypatch.setattr(submodules, "enumerate_stratum", recording)
+        monkeypatch.setattr(submodules, "_family", recording)
         census = Census.walk(q, d, n)
         brute = brute_strata(q, d, n)
         assert walked == {x: set(group) for x, group in brute.items()}
@@ -388,16 +390,18 @@ class TestWalk:
         ],
     )
     def test_member_guards_fire(self, monkeypatch, fault, message):
-        def faulty(x, q, depth, cap):
+        family = submodules._family
+
+        def faulty(x, q, depth, key):
             if fault == "wrong_stratum":
-                return enumerate_stratum(Config.origin(x.d), q, depth, cap)
-            members = enumerate_stratum(x, q, depth, cap)
+                return family(Config.origin(x.d), q, depth, key)
+            members = family(x, q, depth, key)
             if fault == "duplicate":
                 return members + members[:1]
             space = members[0].space
-            return [SubmoduleBasis.from_vectors(space, [space.monomial_vector(Slot(1, 0))])]
+            return [SubmoduleBasis.from_vectors(space, [monomial_vector(space, Slot(1, 0))])]
 
-        monkeypatch.setattr(submodules, "enumerate_stratum", faulty)
+        monkeypatch.setattr(submodules, "_family", faulty)
         with pytest.raises(InternalInvariantError, match=message):
             Census.walk(2, 2, 2)
 

@@ -1,9 +1,11 @@
 """Exhaustive census of T-stable subspaces of a truncated power-series module.
 
 The ambient object is (F_q[T]/T^N)^d, an F_q-space of dimension d*N whose
-coordinates are indexed by the monomials T^a u_i.  A monomial is reused as a
-cylinder slot: seat i, level a.  Multiplying by T pushes levels up by one
-and drops the top level.  Subspaces closed under that shift correspond
+coordinates are indexed by the monomials T^a u_i, each reused as a cylinder
+slot: seat i, level a.  The census works in flat positions, the slots'
+places along the spiral (`slot_index` and `slot_from_index` are the only
+conversions), so flat order is the height order and T shifts a vector d
+places up, dropping the top level.  Subspaces closed under T correspond
 exactly to the finite-colength submodules of the untruncated module that
 contain T^N times everything, so enumerating them is an oracle for
 submodule counts by colength up to N.
@@ -57,14 +59,18 @@ class FeasibilityError(Exception):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
+    """Miller-Rabin over the prime bases up to 37, which is exact for n below 3.1 * 10**23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    # n passes base a when a^odd is 1 or one of a^(odd * 2^k), k < twos, is -1.
+    return all(
+        pow(a, odd, n) == 1 or any(pow(a, odd << k, n) == n - 1 for k in range(twos))
+        for a in bases
+    )
 
 
 def hlex_key(slot: Slot) -> tuple[int, int]:
@@ -84,7 +90,8 @@ class ModuleSpace:
     """The window (F_q[T]/T^depth)^d as a flat coefficient space.
 
     Vectors are tuples of length d*depth; the coefficient of T^a u_i sits at
-    flat position a*d + i - 1, so flat order is the height order.
+    flat position `slot_index(Slot(i, a), d)`, so flat order is the height
+    order.  The modulus q must be a prime below 2**64.
     """
 
     q: int
@@ -92,6 +99,8 @@ class ModuleSpace:
     depth: int
 
     def __post_init__(self) -> None:
+        if self.q >= 2**64:
+            raise ValueError(f"modulus must be below 2^64, got {self.q}")
         if not is_prime(self.q):
             raise ValueError(f"modulus must be prime, got {self.q}")
         if self.d < 1:
@@ -103,26 +112,13 @@ class ModuleSpace:
     def dim(self) -> int:
         return self.d * self.depth
 
-    def index_of(self, slot: Slot) -> int:
-        if slot.level >= self.depth:
-            raise ValueError(f"level {slot.level} outside window of depth {self.depth}")
-        return slot_index(slot, self.d)
-
-    def slot_of(self, index: int) -> Slot:
-        if not 0 <= index < self.dim:
-            raise ValueError(f"flat index {index} outside window")
-        return slot_from_index(index, self.d)
-
     def scan_order(self, key: MonomialKey) -> tuple[int, ...]:
         """Flat positions listed from lowest monomial up, in the order `key` sorts slots."""
-        return tuple(sorted(range(self.dim), key=lambda p: key(self.slot_of(p))))
+        return tuple(sorted(range(self.dim), key=lambda p: key(slot_from_index(p, self.d))))
 
     def mul_by_t(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         """Shift every seat one level up; the top level falls off."""
-        out = [0] * self.dim
-        for pos in range(self.dim - self.d):
-            out[pos + self.d] = vec[pos]
-        return tuple(out)
+        return (0,) * self.d + vec[: -self.d]
 
 
 def echelonize(
@@ -202,13 +198,19 @@ class SubmoduleBasis:
 
 
 def pivot_profile(m: SubmoduleBasis, key: MonomialKey = hlex_key) -> tuple[int, ...]:
-    """Per seat, the least pivot level of the basis echelonized under `key` (depth if none)."""
+    """Per seat, the least pivot level of the basis echelonized under `key` (depth if none).
+
+    A row's pivot is its first nonzero entry in the scan order of `key`.
+    """
     space = m.space
-    # Bases are stored in height-order echelon form already.
-    rows = m.rows if key is hlex_key else echelonize(space, m.rows, key)
+    if key is hlex_key:  # stored bases are hlex-echelonized; flat order is hlex order
+        pivots = m.pivot_positions()
+    else:
+        seq = space.scan_order(key)
+        pivots = [next(p for p in seq if row[p]) for row in echelonize(space, m.rows, key)]
     lows = [space.depth] * space.d
-    for row in rows:
-        slot = min((space.slot_of(p) for p, c in enumerate(row) if c), key=key)
+    for p in pivots:
+        slot = slot_from_index(p, space.d)
         lows[slot.seat - 1] = min(lows[slot.seat - 1], slot.level)
     return tuple(lows)
 
@@ -251,19 +253,16 @@ def _echelon_candidates(
     space: ModuleSpace, pivot_positions: Iterable[int]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All reduced echelon row tuples with the given height-order pivots."""
-    q = space.q
     pivots = sorted(pivot_positions)
     free = _echelon_cells(space, pivots)
-    total = sum(len(cells) for cells in free)
-    for assign in itertools.product(range(q), repeat=total):
+    for assign in itertools.product(range(space.q), repeat=sum(map(len, free))):
+        values = iter(assign)
         rows = []
-        k = 0
         for p, cells in zip(pivots, free):
             row = [0] * space.dim
             row[p] = 1
             for c in cells:
-                row[c] = assign[k]
-                k += 1
+                row[c] = next(values)
             rows.append(tuple(row))
         yield tuple(rows)
 
@@ -277,7 +276,7 @@ def _pivot_sets(space: ModuleSpace) -> Iterator[tuple[int, ...]]:
     """
     for profile in itertools.product(range(space.depth + 1), repeat=space.d):
         yield tuple(
-            space.index_of(Slot(seat, level))
+            slot_index(Slot(seat, level), space.d)
             for seat in range(1, space.d + 1)
             for level in range(profile[seat - 1], space.depth)
         )
@@ -326,23 +325,16 @@ def window_depth(colength: int, depth: int | None = None) -> int:
     return depth
 
 
-def brute_strata(
-    q: int, d: int, n: int, depth: int | None = None, cap: int = DEFAULT_CAP
-) -> dict[Config, list[SubmoduleBasis]]:
+def brute_strata(q: int, d: int, n: int) -> dict[Config, list[SubmoduleBasis]]:
     """The brute oracle: the scanned submodules of colength at most n, by leading module.
 
-    Scans the window of depth window_depth(n, depth) with enumerate_submodules.
+    Scans the window of depth window_depth(n) with enumerate_submodules.
     """
     strata: dict[Config, list[SubmoduleBasis]] = {}
-    for m in enumerate_submodules(q, d, window_depth(n, depth), cap=cap):
+    for m in enumerate_submodules(q, d, window_depth(n)):
         if m.codim <= n:
             strata.setdefault(leading_module(m), []).append(m)
     return strata
-
-
-def _strata_up_to(d: int, n: int) -> Iterator[Config]:
-    for k in range(n + 1):
-        yield from configs_with_size(d, k)
 
 
 @dataclass(frozen=True)
@@ -367,9 +359,8 @@ class Census:
         The strata come one at a time from `_families`, so the members to
         generate, summed over the strata, may not exceed `cap`.
         """
-        strata = _families(
-            q, d, _strata_up_to(d, n), window_depth(n), hlex_key, cap, "submodules to walk"
-        )
+        xs = (x for k in range(n + 1) for x in configs_with_size(d, k))
+        strata = _families(q, d, xs, window_depth(n), hlex_key, cap, "submodules to walk")
         return cls(q, d, n, {x: _checked_size(x, members) for x, members in strata})
 
     def observed(self) -> list[int]:
@@ -411,19 +402,6 @@ def _checked_size(x: Config, members: list[SubmoduleBasis]) -> int:
     return len(members)
 
 
-def _module_closure(
-    space: ModuleSpace, gens: Iterable[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """Spanning vectors of the submodule generated: every T-power of each gen."""
-    vecs = []
-    for g in gens:
-        v = g
-        for _ in range(space.depth):
-            vecs.append(v)
-            v = space.mul_by_t(v)
-    return vecs
-
-
 def _family_cells(x: Config, key: MonomialKey) -> list[list[Slot]]:
     """Per seat, the free cells of the generator whose leading monomial is seat i at level x_i.
 
@@ -449,29 +427,33 @@ def _family(x: Config, q: int, depth: int, key: MonomialKey) -> list[SubmoduleBa
 
     Seat i's generator is its leading monomial (seat i, level x_i), dropped
     when the window truncates it, plus coefficients from F_q on the cells
-    of `_family_cells(x, key)`.  Output is sorted.
+    of `_family_cells(x, key)`.  The submodule is spanned by every T-power
+    of every generator.  Output is sorted.
     """
     space = ModuleSpace(q, x.d, depth)
-    leads = [Slot(i, n) for i, n in enumerate(x.levels, start=1)]
-    free_cells = _family_cells(x, key)
-    total = sum(len(cells) for cells in free_cells)
-    for lead, cells in zip(leads, free_cells):
-        if lead.level >= depth and cells:
+    # Per seat with a lead in the window, the flat positions of the lead and
+    # of the free cells; a truncated generator is zero and spans nothing.
+    gens = []
+    for seat, (level, cells) in enumerate(zip(x.levels, _family_cells(x, key)), start=1):
+        if level < depth:
+            gens.append((slot_index(Slot(seat, level), x.d), [slot_index(c, x.d) for c in cells]))
+        elif cells:
             # Unreachable: depth >= colength forces the cell list empty here.
             raise InternalInvariantError("free cells attached to a truncated leading monomial")
     found = []
-    for assign in itertools.product(range(q), repeat=total):
-        gens = []
-        k = 0
-        for lead, cells in zip(leads, free_cells):
+    for assign in itertools.product(range(q), repeat=sum(len(cells) for _, cells in gens)):
+        values = iter(assign)
+        closure = []
+        for lead, cells in gens:
             vec = [0] * space.dim
-            if lead.level < depth:
-                vec[space.index_of(lead)] = 1
-            for cell in cells:
-                vec[space.index_of(cell)] = assign[k]
-                k += 1
-            gens.append(tuple(vec))
-        found.append(SubmoduleBasis.from_vectors(space, _module_closure(space, gens)))
+            vec[lead] = 1
+            for p in cells:
+                vec[p] = next(values)
+            gen = tuple(vec)
+            for _ in range(depth):
+                closure.append(gen)
+                gen = space.mul_by_t(gen)
+        found.append(SubmoduleBasis.from_vectors(space, closure))
     found.sort(key=lambda m: (m.codim, m.rows))
     return found
 

@@ -12,7 +12,8 @@ the weight.
 The census reference scans every reduced echelon form of every pivot set
 and tests T-stability by listing the span, so it shares nothing with
 `enumerate_submodules` but the basis value type.  `monomial_vector` builds
-the flat vector of one monomial of a window.
+the flat vector of one monomial of a window.  `leading_profile` reads the
+per-seat leading levels off the whole span, with no echelon form.
 """
 
 import itertools
@@ -104,8 +105,25 @@ def preimages(d: int, n: int) -> dict[Config, list[MultiIndex]]:
 def monomial_vector(space, slot: Slot) -> tuple[int, ...]:
     """The flat vector of the monomial `slot` in the window `space`."""
     vec = [0] * space.dim
-    vec[space.index_of(slot)] = 1
+    vec[slot_index(slot, space.d)] = 1
     return tuple(vec)
+
+
+def leading_profile(m: SubmoduleBasis, key) -> tuple[int, ...]:
+    """Per seat, the least level of a leading monomial under `key` of a nonzero span vector.
+
+    The span is listed from every coefficient tuple.  A seat that leads no
+    vector gets the window depth.
+    """
+    space = m.space
+    q, dim = space.q, space.dim
+    lows = [space.depth] * space.d
+    for coeffs in itertools.product(range(q), repeat=len(m.rows)):
+        vec = [sum(c * row[i] for c, row in zip(coeffs, m.rows)) % q for i in range(dim)]
+        if any(vec):
+            lead = min((slot_from_index(p, space.d) for p, c in enumerate(vec) if c), key=key)
+            lows[lead.seat - 1] = min(lows[lead.seat - 1], lead.level)
+    return tuple(lows)
 
 
 def _echelon_forms(q: int, dim: int):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,28 @@ def test_composite_modulus_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "modulus must be prime" in err
+
+
+def test_large_prime_modulus_is_checked_fast(capsys):
+    # 2^64 - 59 is prime; a trial-division test would take minutes.
+    started = time.perf_counter()
+    code, _, err = run(capsys, ["count", "--q", str(2**64 - 59), "--d", "2", "--N", "2"])
+    assert code == 4
+    assert "exceed the cap" in err
+    assert time.perf_counter() - started < 1
+
+
+def test_large_prime_modulus_counts_width_one(capsys):
+    code, out, _ = run(capsys, ["count", "--q", str(2**61 - 1), "--d", "1", "--N", "3"])
+    assert code == 0
+    assert out.splitlines() == [f"n={n} observed=1 predicted=1" for n in range(4)]
+
+
+def test_modulus_of_2_to_the_64_exits_2(capsys):
+    code, out, err = run(capsys, ["count", "--q", str(2**64), "--d", "2", "--N", "2"])
+    assert code == 2
+    assert out == ""
+    assert "below 2^64" in err
 
 
 def test_malformed_tuple_exits_2(capsys):

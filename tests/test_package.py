@@ -1,6 +1,8 @@
 """The package's public surface."""
 
+import importlib.util
 import types
+from pathlib import Path
 
 import spiralshift
 
@@ -20,3 +22,29 @@ def test_exports_are_exactly_the_public_attributes():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(spiralshift.__all__) == public
+
+
+def test_traced_bench_runs_against_the_package(capsys):
+    # bench/tracing.py wraps the package's functions by name; a renamed or
+    # deleted one shows up here as a failed command or a KeyError.
+    from spiralshift import cli
+    from spiralshift.submodules import SubmoduleBasis
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("spiralshift_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    main, is_t_stable = cli.main, vars(SubmoduleBasis)["is_t_stable"]
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        assert cli.main is not main
+        assert cli.main(["verify", "--profile", "quick"]) == 0
+        assert cli.main(["count", "--q", "2", "--d", "2", "--N", "2"]) == 0
+    finally:
+        uninstall()
+    capsys.readouterr()
+    metrics = tracing.pass_metrics(tracer)
+    assert set(tracing.SELF_TIME_METRICS) <= set(metrics)
+    assert cli.main is main
+    assert vars(SubmoduleBasis)["is_t_stable"] is is_t_stable

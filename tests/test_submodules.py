@@ -30,6 +30,7 @@ from spiralshift import (
     leading_module,
     lex_key,
     pivot_profile,
+    slot_from_index,
     weight,
     window_depth,
 )
@@ -80,6 +81,27 @@ class TestModuleSpace:
         for bad in (0, 1, 4, 6, 9, 15):
             with pytest.raises(ValueError):
                 ModuleSpace(bad, 2, 2)
+
+    def test_is_prime_agrees_with_a_sieve(self):
+        limit = 10**4
+        sieve = [False, False] + [True] * (limit - 2)
+        for p in range(2, 100):
+            if sieve[p]:
+                sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+        assert [n for n in range(limit) if submodules.is_prime(n)] == [
+            n for n in range(limit) if sieve[n]
+        ]
+
+    def test_is_prime_rejects_carmichael_numbers_and_prime_squares(self):
+        # 1909001 = 41 * 101 * 461 is a Carmichael number with no factor among
+        # the bases; 3825123056546413051 is a strong pseudoprime to every prime
+        # base up to 23.
+        for n in (561, 41041, 1909001, 3825123056546413051):
+            assert not submodules.is_prime(n), n
+        for n in (4, 9, 37**2, 41**2, 65521**2, (2**31 - 1) ** 2):
+            assert not submodules.is_prime(n), n
+        for p in (41, 65521, 2**31 - 1, 2**61 - 1, 2**64 - 59):
+            assert submodules.is_prime(p), p
 
     def test_shift_examples(self):
         space = ModuleSpace(2, 2, 3)
@@ -143,7 +165,7 @@ class TestLeadingModule:
     def test_full_module_and_simple_quotients(self):
         space = ModuleSpace(2, 3, 2)
         full = SubmoduleBasis.from_vectors(
-            space, [monomial_vector(space, space.slot_of(k)) for k in range(space.dim)]
+            space, [monomial_vector(space, slot_from_index(k, space.d)) for k in range(space.dim)]
         )
         assert leading_module(full) == Config((0, 0, 0))
 
@@ -168,6 +190,13 @@ class TestLeadingModule:
         m = SubmoduleBasis.from_vectors(space, [(0, 0, 1, 0), (0, 0, 0, 1)])
         assert m.codim == 2
         assert leading_module(m) == Config((1, 1))
+
+    @pytest.mark.parametrize("q,d,depth", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])
+    def test_pivot_profile_equals_the_span_oracle(self, q, d, depth):
+        # The oracle takes leading monomials over the whole span, no echelon form.
+        for m in enumerate_submodules(q, d, depth):
+            for key in (hlex_key, lex_key):
+                assert pivot_profile(m, key) == oracle.leading_profile(m, key), (m.rows, key)
 
     def test_rejects_colength_beyond_depth(self):
         space = ModuleSpace(2, 2, 1)
@@ -208,8 +237,8 @@ class TestEnumerateSubmodules:
             enumerate_submodules(2, 3, 3, cap=2**8)
 
 
-def brute_census(q, d, n, depth=None):
-    strata = brute_strata(q, d, n, depth=depth)
+def brute_census(q, d, n):
+    strata = brute_strata(q, d, n)
     return Census(q, d, n, {x: len(group) for x, group in strata.items()})
 
 
@@ -251,7 +280,8 @@ class TestCensus:
         ]
 
     def test_leaves_out_colengths_above_n(self):
-        census = brute_census(2, 2, 1, depth=3)
+        # The depth-1 window holds the colength-2 zero subspace, which must be left out.
+        census = brute_census(2, 2, 1)
         assert census.observed() == [1, 3]
         assert census.predicted() == [1, 3]
 

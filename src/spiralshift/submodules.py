@@ -21,23 +21,30 @@ carries free coefficients from F_q on the monomials of the other seats that
 lie above its lead in the order and below their own seat's lead.
 Under `hlex_key` that family is the stratum `enumerate_stratum` returns,
 of q**W(x) members; under `lex_key` it is the group of Hermite matrices
-with diagonal x that `hermite_strata` returns.
+with diagonal x that `hermite_strata` returns.  A member is spanned by the
+T-powers of its generators up to the first zero one.  Under `hlex_key`
+each power leads at its own flat position with coefficient 1, so the
+canonical basis is one back-substitution; under `lex_key` the height-order
+leads can collide, and the powers are echelonized.
 
 `Census.walk`, `enumerate_stratum` and `hermite_strata` share one capped
 path, `_families`: it validates q and d, sums the members of the requested
 families against `cap`, and only then yields them one profile at a time.
-The walk checks each stratum's members as they come and keeps only the
-stratum sizes; the colength totals and the stratum sizes, with their
-predictions, are read off it.  The scan `enumerate_submodules`, grouped by
-`brute_strata`, is the independent oracle the walk is tested against.
+The walk checks each stratum's members as they come, from their rows
+alone: reduced echelon form, T-stability, colength, leading module and no
+repeats.  It keeps only the stratum sizes; the colength totals and the
+stratum sizes, with their predictions, are read off it.  The scan
+`enumerate_submodules`, grouped by `brute_strata`, is the independent
+oracle the walk is tested against.
 Every enumerator counts its exact work (members or candidates) before it
 starts and refuses past `cap`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .cylinder import (
@@ -114,11 +121,16 @@ class ModuleSpace:
 
     def scan_order(self, key: MonomialKey) -> tuple[int, ...]:
         """Flat positions listed from lowest monomial up, in the order `key` sorts slots."""
-        return tuple(sorted(range(self.dim), key=lambda p: key(slot_from_index(p, self.d))))
+        return _scan_order(self.d, self.depth, key)
 
     def mul_by_t(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         """Shift every seat one level up; the top level falls off."""
         return (0,) * self.d + vec[: -self.d]
+
+
+@functools.cache
+def _scan_order(d: int, depth: int, key: MonomialKey) -> tuple[int, ...]:
+    return tuple(sorted(range(d * depth), key=lambda p: key(slot_from_index(p, d))))
 
 
 def echelonize(
@@ -174,6 +186,14 @@ class SubmoduleBasis:
 
     space: ModuleSpace
     rows: tuple[tuple[int, ...], ...]
+    # Each row's first nonzero position, read once from the rows; a zero row
+    # gets dim, which `is_reduced` rejects.
+    _pivots: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        dim = self.space.dim
+        pivots = tuple(next((p for p, c in enumerate(row) if c), dim) for row in self.rows)
+        object.__setattr__(self, "_pivots", pivots)
 
     @classmethod
     def from_vectors(
@@ -187,10 +207,22 @@ class SubmoduleBasis:
 
     def pivot_positions(self) -> tuple[int, ...]:
         """Flat position of each row's pivot: in height order, its first nonzero entry."""
-        return tuple(next(p for p, c in enumerate(row) if c) for row in self.rows)
+        return self._pivots
+
+    def is_reduced(self) -> bool:
+        """Pivots distinct and increasing, each 1 and the only nonzero entry of its column."""
+        rows, pivots = self.rows, self._pivots
+        if any(a >= b for a, b in zip(pivots, pivots[1:])) or self.space.dim in pivots:
+            return False
+        zeros = len(rows) - 1
+        for row, p in zip(rows, pivots):
+            column = [other[p] for other in rows]
+            if row[p] != 1 or column.count(0) != zeros:
+                return False
+        return True
 
     def is_t_stable(self) -> bool:
-        pivots = self.pivot_positions()
+        pivots = self._pivots
         return not any(
             any(_reduce(self.space, self.rows, pivots, self.space.mul_by_t(row)))
             for row in self.rows
@@ -387,11 +419,16 @@ class Census:
 def _checked_size(x: Config, members: list[SubmoduleBasis]) -> int:
     """The number of members of stratum x, each checked independently of the generator.
 
-    Every member must be T-stable, have leading module x, and occur once;
-    since the leading module is a function of the submodule, the strata are
-    then disjoint too.  A failure raises InternalInvariantError.
+    Every member must be in reduced echelon form, T-stable, have leading
+    module x, and occur once; the checks read only the member's rows.  Since
+    a reduced basis is the submodule's canonical form and the leading module
+    is a function of the submodule, no submodule is counted twice and the
+    strata are disjoint too.  A failure raises InternalInvariantError.
     """
     for m in members:
+        # Reduced form comes first: the T-stability test reduces by the rows.
+        if not m.is_reduced():
+            raise InternalInvariantError(f"stratum {x.levels}: member {m.rows} is not reduced")
         if not m.is_t_stable():
             raise InternalInvariantError(f"stratum {x.levels}: member {m.rows} is not T-stable")
         # The colength test comes first, so leading_module sees none beyond the window.
@@ -427,8 +464,12 @@ def _family(x: Config, q: int, depth: int, key: MonomialKey) -> list[SubmoduleBa
 
     Seat i's generator is its leading monomial (seat i, level x_i), dropped
     when the window truncates it, plus coefficients from F_q on the cells
-    of `_family_cells(x, key)`.  The submodule is spanned by every T-power
-    of every generator.  Output is sorted.
+    of `_family_cells(x, key)`.  The submodule is spanned by the T-powers of
+    every generator up to its first zero one.  Under `hlex_key` each power
+    leads, with coefficient 1, at its own flat position, so the canonical
+    basis is one back-substitution of those rows; under `lex_key` the
+    height-order leads of the powers can collide, and the rows are
+    echelonized.  Output is sorted.
     """
     space = ModuleSpace(q, x.d, depth)
     # Per seat with a lead in the window, the flat positions of the lead and
@@ -449,13 +490,39 @@ def _family(x: Config, q: int, depth: int, key: MonomialKey) -> list[SubmoduleBa
             vec[lead] = 1
             for p in cells:
                 vec[p] = next(values)
+            # Each power is paired with its first nonzero position, T^k moving
+            # it k levels up; the power is zero once that leaves the window.
+            low = next(p for p, c in enumerate(vec) if c)
             gen = tuple(vec)
-            for _ in range(depth):
-                closure.append(gen)
+            for k in range(depth - low // x.d):
+                closure.append((low + k * x.d, gen))
                 gen = space.mul_by_t(gen)
-        found.append(SubmoduleBasis.from_vectors(space, closure))
+        if key is hlex_key:
+            found.append(SubmoduleBasis(space, _back_substitute(q, closure)))
+        else:
+            found.append(SubmoduleBasis.from_vectors(space, (gen for _, gen in closure)))
     found.sort(key=lambda m: (m.codim, m.rows))
     return found
+
+
+def _back_substitute(
+    q: int, closure: list[tuple[int, tuple[int, ...]]]
+) -> tuple[tuple[int, ...], ...]:
+    """The reduced echelon rows of (pivot, row) pairs whose pivots are distinct and 1.
+
+    A row's pivot is its first nonzero position.  Taken from the highest
+    pivot down, a row is cleared at the pivots of the rows already done;
+    those are zero at one another's pivots, so each clearing leaves the
+    others in place.  Rows come back sorted by pivot.
+    """
+    done: dict[int, tuple[int, ...]] = {}
+    for pivot, row in sorted(closure, reverse=True):
+        for p, other in done.items():
+            c = row[p]
+            if c:
+                row = tuple((a - c * b) % q for a, b in zip(row, other))
+        done[pivot] = row
+    return tuple(reversed(done.values()))
 
 
 def _families(

@@ -1,6 +1,8 @@
 """The package's public surface."""
 
+import ast
 import importlib.util
+import sys
 import types
 from pathlib import Path
 
@@ -48,3 +50,24 @@ def test_traced_bench_runs_against_the_package(capsys):
     assert set(tracing.SELF_TIME_METRICS) <= set(metrics)
     assert cli.main is main
     assert vars(SubmoduleBasis)["is_t_stable"] is is_t_stable
+
+
+def test_package_imports_only_the_standard_library():
+    # spiralshift is stdlib-only: a third-party import for a faster kernel fails here.
+    package = Path(spiralshift.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top != "spiralshift":
+                    outside.append(f"{path.name}: {name}")
+    assert outside == []

@@ -31,6 +31,7 @@ from spiralshift import (
     lex_key,
     pivot_profile,
     slot_from_index,
+    slot_index,
     weight,
     window_depth,
 )
@@ -159,6 +160,21 @@ class TestEchelonize:
                 for k in range(space.dim)
             )
             assert echelonize(space, list(vectors) + [extra]) == rows
+        assert SubmoduleBasis(space, rows).is_reduced()
+
+    def test_reduced_form_check(self):
+        space = ModuleSpace(3, 2, 2)
+        u = [(1, 0, 0, 0), (0, 1, 0, 0)]
+
+        def reduced(*rows):
+            return SubmoduleBasis(space, rows).is_reduced()
+
+        assert reduced() and reduced(u[0], (0, 1, 2, 0))
+        assert not reduced(u[1], u[0])  # pivots out of order
+        assert not reduced(u[0], u[0])  # a repeated pivot
+        assert not reduced((2, 0, 0, 0))  # a pivot entry other than 1
+        assert not reduced((1, 1, 0, 0), u[1])  # a pivot column not cleared
+        assert not reduced(u[0], (0,) * 4)  # a zero row
 
 
 class TestLeadingModule:
@@ -391,10 +407,37 @@ class TestFamilyCells:
             assert sum(map(len, submodules._family_cells(x, hlex_key))) == weight(x), x
 
 
+def echelonized_family(x, q, depth, key):
+    """The family of x built the slow way: every generator's `depth` T-powers, echelonized."""
+    space = ModuleSpace(q, x.d, depth)
+    gens = [
+        (Slot(seat, level), cells)
+        for seat, (level, cells) in enumerate(
+            zip(x.levels, submodules._family_cells(x, key)), start=1
+        )
+        if level < depth
+    ]
+    found = []
+    for assign in itertools.product(range(q), repeat=sum(len(cells) for _, cells in gens)):
+        values = iter(assign)
+        closure = []
+        for lead, cells in gens:
+            gen = list(monomial_vector(space, lead))
+            for cell in cells:
+                gen[slot_index(cell, x.d)] = next(values)
+            gen = tuple(gen)
+            for _ in range(depth):
+                closure.append(gen)
+                gen = space.mul_by_t(gen)
+        found.append(SubmoduleBasis.from_vectors(space, closure))
+    return sorted(found, key=lambda m: (m.codim, m.rows))
+
+
+WALK_GRIDS = [(2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 2, 4), (2, 3, 3)]
+
+
 class TestWalk:
-    @pytest.mark.parametrize(
-        "q,d,n", [(2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 2, 4), (2, 3, 3)]
-    )
+    @pytest.mark.parametrize("q,d,n", WALK_GRIDS)
     def test_equals_brute_oracle_per_stratum(self, monkeypatch, q, d, n):
         family = submodules._family
         walked = {}
@@ -417,6 +460,7 @@ class TestWalk:
             ("duplicate", "occurs twice"),
             ("not_t_stable", "is not T-stable"),
             ("wrong_stratum", "lies outside it"),
+            ("not_reduced", "is not reduced"),
         ],
     )
     def test_member_guards_fire(self, monkeypatch, fault, message):
@@ -429,11 +473,28 @@ class TestWalk:
             if fault == "duplicate":
                 return members + members[:1]
             space = members[0].space
+            if fault == "not_reduced":
+                # The first stratum is the whole module: keep its span, with
+                # row 0 replaced by row 0 + row 1.
+                rows = members[0].rows
+                row = tuple((a + b) % q for a, b in zip(rows[0], rows[1]))
+                return [SubmoduleBasis(space, (row,) + rows[1:])] + members[1:]
             return [SubmoduleBasis.from_vectors(space, [monomial_vector(space, Slot(1, 0))])]
 
         monkeypatch.setattr(submodules, "_family", faulty)
         with pytest.raises(InternalInvariantError, match=message):
             Census.walk(2, 2, 2)
+
+    @pytest.mark.parametrize("q,d,n", WALK_GRIDS)
+    def test_family_equals_echelonized_closure(self, q, d, n):
+        # Pins the hlex back-substitution and the first-zero-power stop of both
+        # keys to echelonizing every T-power.
+        depth = window_depth(n)
+        for k in range(n + 1):
+            for x in configs_with_size(d, k):
+                for key in (hlex_key, lex_key):
+                    expected = echelonized_family(x, q, depth, key)
+                    assert submodules._family(x, q, depth, key) == expected, (x, key)
 
 
 class TestExactCap:

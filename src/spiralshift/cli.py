@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import NamedTuple
@@ -110,6 +111,12 @@ def cmd_stats(args) -> Findings:
 
 
 def cmd_series(args) -> Findings:
+    if args.method == "configs" and args.d >= 1 and args.tcut >= 0:
+        # The enumeration visits every configuration of size at most tcut,
+        # C(tcut + d, d) of them; a bad width or cut is left to its own error.
+        work = math.comb(args.tcut + args.d, args.d)
+        if work > args.cap:
+            raise FeasibilityError(f"{work} configurations exceed the cap {args.cap}")
     methods = {
         "product": product_formula,
         "configs": sum_over_configs,
@@ -232,6 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("product", "configs", "recurrence"),
         default="product",
+    )
+    p.add_argument(
+        "--cap",
+        type=nonnegative,
+        default=DEFAULT_CAP,
+        help="most configurations --method configs may enumerate",
     )
     p.set_defaults(func=cmd_series)
 

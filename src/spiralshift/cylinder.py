@@ -26,8 +26,10 @@ as a difference of sub-indices, both O(d^2 log d) whatever the exponents.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import total_ordering
+from operator import sub
 from typing import Iterator
 
 
@@ -59,8 +61,9 @@ class Slot:
 def slot_index(slot: Slot, d: int) -> int:
     """0-based position of `slot` along the spiral of width d.
 
-    Strictly order preserving.  This and `slot_from_index` are the only
-    places where seats/levels and linear positions are interconverted.
+    Strictly order preserving; `slot_from_index` inverts it, and
+    `Config.marks` gives the same positions for every point of a
+    configuration at once.
     """
     if d < 1:
         raise ValueError("width d must be positive")
@@ -88,7 +91,7 @@ class Config:
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ValueError("a configuration needs at least one seat")
-        if any(n < 0 for n in self.levels):
+        if min(self.levels) < 0:
             raise ValueError(f"levels must be nonnegative, got {self.levels}")
 
     @property
@@ -103,6 +106,15 @@ class Config:
 
     def slots(self) -> tuple[Slot, ...]:
         return tuple(Slot(i, n) for i, n in enumerate(self.levels, start=1))
+
+    def marks(self) -> tuple[int, ...]:
+        """Per seat i, the spiral position n_i*d + (i-1) of its point: its height mark.
+
+        Seat by seat this is `slot_index(Slot(i, n_i), d)`, without building
+        the slots, so sorting the marks ranks the points by height.
+        """
+        d = len(self.levels)
+        return tuple([n * d + i for i, n in enumerate(self.levels)])
 
 
 def sorted_slots(x: Config) -> tuple[Slot, ...]:
@@ -233,28 +245,30 @@ def is_tight(x: Config, r: int) -> bool:
     True iff, among cylinder points whose seat belongs to the top d-r+1
     points of x, the rank-r point of x is the least one strictly higher than
     the rank-(r-1) point.  Preserved by every operator of rank below r.
+    Worked on height marks: the least point of a mark's seat above the mark
+    `below` lies (mark - below) mod d places above it, and that gap is never
+    0 because the seats differ.
     """
-    if not 2 <= r <= x.d:
-        raise ValueError(f"rank must lie in [2, {x.d}], got {r}")
-    ranked = sorted_slots(x)
+    d = x.d
+    if not 2 <= r <= d:
+        raise ValueError(f"rank must lie in [2, {d}], got {r}")
+    ranked = sorted(x.marks())
     below = ranked[r - 2]
-    lowest_above = min(
-        Slot(s.seat, below.level if s.seat > below.seat else below.level + 1)
-        for s in ranked[r - 1 :]
-    )
-    return lowest_above == ranked[r - 1]
+    return below + min((m - below) % d for m in ranked[r - 1 :]) == ranked[r - 1]
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
+    """All tuples of `parts` nonnegative integers summing to `total`, in lexicographic order.
+
+    Stars and bars: the `parts - 1` bars stand at the partial sums, a
+    nondecreasing tuple of cuts in [0, total], and the parts are the gaps
+    between consecutive cuts.  Cuts taken in lexicographic order give the
+    tuples in lexicographic order.
+    """
     if parts < 1:
         raise ValueError("parts must be positive")
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def configs_with_size(d: int, n: int) -> Iterator[Config]:

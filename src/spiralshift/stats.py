@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
-from .cylinder import Config, MultiIndex, slot_index
+from .cylinder import Config, MultiIndex
 
 
 def size(x: Config) -> int:
@@ -13,10 +14,13 @@ def size(x: Config) -> int:
 
 
 def weight(x: Config) -> int:
-    """Sum of floored height gaps over all pairs of points of x."""
+    """Sum of floored height gaps over all pairs of points of x.
+
+    The heights are compared as height marks (`Config.marks`), whose gaps
+    are d times the height gaps.
+    """
     d = x.d
-    idx = sorted(slot_index(s, d) for s in x.slots())
-    return sum((b - a) // d for k, b in enumerate(idx) for a in idx[:k])
+    return sum([(b - a) // d for a, b in itertools.combinations(sorted(x.marks()), 2)])
 
 
 def weight_by_seats(x: Config) -> int:
@@ -27,7 +31,7 @@ def weight_by_seats(x: Config) -> int:
     the equality is pinned by the test suite.
     """
     d = x.d
-    marks = [n * d + i for i, n in enumerate(x.levels, start=1)]
+    marks = x.marks()
     return sum(
         max(0, (marks[j] - marks[i]) // d)
         for i in range(d)

@@ -3,12 +3,12 @@
 The ambient object is (F_q[T]/T^N)^d, an F_q-space of dimension d*N whose
 coordinates are indexed by the monomials T^a u_i, each reused as a cylinder
 slot: seat i, level a.  The census works in flat positions, the slots'
-places along the spiral (`slot_index` and `slot_from_index` are the only
-conversions), so flat order is the height order and T shifts a vector d
-places up, dropping the top level.  Subspaces closed under T correspond
-exactly to the finite-colength submodules of the untruncated module that
-contain T^N times everything, so enumerating them is an oracle for
-submodule counts by colength up to N.
+places along the spiral (`slot_index` and `slot_from_index` convert; a flat
+position p lies at level p // d on 0-based seat p % d), so flat order is the
+height order and T shifts a vector d places up, dropping the top level.
+Subspaces closed under T correspond exactly to the finite-colength
+submodules of the untruncated module that contain T^N times everything, so
+enumerating them is an oracle for submodule counts by colength up to N.
 
 Two monomial orders are used, each given as the sort key of a slot: the
 height order `hlex_key` (level, then seat), whose reduced echelon bases are
@@ -242,8 +242,9 @@ def pivot_profile(m: SubmoduleBasis, key: MonomialKey = hlex_key) -> tuple[int, 
         pivots = [next(p for p in seq if row[p]) for row in echelonize(space, m.rows, key)]
     lows = [space.depth] * space.d
     for p in pivots:
-        slot = slot_from_index(p, space.d)
-        lows[slot.seat - 1] = min(lows[slot.seat - 1], slot.level)
+        level, seat = divmod(p, space.d)
+        if level < lows[seat]:
+            lows[seat] = level
     return tuple(lows)
 
 

@@ -7,7 +7,9 @@ in `spiralshift.cylinder` are tested against them; they share only the
 value types and the linear spiral index.  `shift_all` is the closed form of
 one rank-1 step, `unit` the exponent vector of one rank-j step, and
 `distance` the floored height gap whose sum over pairs of points defines
-the weight.
+the weight.  `compositions` is the head-first recursion and `is_tight` the
+slot-by-slot reading of tightness, the references for the stars-and-bars
+and height-mark versions in `spiralshift.cylinder`.
 
 The census reference scans every reduced echelon form of every pivot set
 and tests T-stability by listing the span, so it shares nothing with
@@ -23,11 +25,32 @@ from spiralshift import (
     MultiIndex,
     Slot,
     SubmoduleBasis,
-    compositions,
     slot_from_index,
     slot_index,
     sorted_slots,
 )
+
+
+def compositions(total: int, parts: int):
+    """All tuples of `parts` nonnegative integers summing to `total`, head first."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def is_tight(x: Config, r: int) -> bool:
+    """Whether the rank-r point is the least slot, on a seat of the top d-r+1
+    points, strictly above the rank-(r-1) point; compared as `Slot`s."""
+    ranked = sorted_slots(x)
+    below = ranked[r - 2]
+    lowest_above = min(
+        Slot(s.seat, below.level if s.seat > below.seat else below.level + 1)
+        for s in ranked[r - 1 :]
+    )
+    return lowest_above == ranked[r - 1]
 
 
 def shift_all(x: Config) -> Config:

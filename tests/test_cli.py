@@ -58,6 +58,34 @@ def test_series_methods_agree_byte_for_byte(capsys):
     assert len(outputs) == 1
 
 
+def test_series_configs_past_the_cap_exits_4_at_once(capsys):
+    # C(40 + 8, 8) configurations of size at most 40: refused before any is built.
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["series", "--d", "8", "--tcut", "40", "--method", "configs"])
+    assert time.perf_counter() - started < 1
+    assert code == 4
+    assert out == ""
+    assert "377348994 configurations exceed the cap 1048576" in err
+
+
+def test_series_configs_cap_at_the_exact_work_runs(capsys):
+    # C(4 + 3, 3) = 35 configurations of size at most 4.
+    argv = ["series", "--d", "3", "--tcut", "4", "--method"]
+    code, out, _ = run(capsys, argv + ["configs", "--cap", "35"])
+    assert code == 0
+    assert out == run(capsys, argv + ["product"])[1]
+    code, out, err = run(capsys, argv + ["configs", "--cap", "34"])
+    assert code == 4
+    assert out == ""
+    assert "35 configurations exceed the cap 34" in err
+
+
+def test_series_cap_leaves_the_closed_forms_alone(capsys):
+    for method in ("product", "recurrence"):
+        argv = ["series", "--d", "3", "--tcut", "4", "--method", method]
+        assert run(capsys, argv + ["--cap", "0"]) == run(capsys, argv)
+
+
 def test_series_is_deterministic(capsys):
     _, first, _ = run(capsys, ["series", "--d", "2", "--tcut", "2"])
     _, second, _ = run(capsys, ["series", "--d", "2", "--tcut", "2"])
@@ -174,6 +202,7 @@ def test_count_at_colength_zero(capsys):
         (["strata", "--q", "2", "--d", "2", "--n", "-1"], "--n"),
         (["count", "--q", "2", "--d", "2", "--N", "2", "--cap", "-1"], "--cap"),
         (["strata", "--q", "2", "--d", "2", "--n", "2", "--cap", "-1"], "--cap"),
+        (["series", "--d", "2", "--tcut", "3", "--method", "configs", "--cap", "-1"], "--cap"),
     ],
 )
 def test_negative_colength_exits_2(capsys, argv, flag):
@@ -309,6 +338,25 @@ def test_verify_quick_profile(capsys):
         "PASS free orbit product formula: 10 random independent generator sets, t_cut=6",
         "PASS tightness preservation: 50 preserved applications",
         "PASS content additivity under the action: 46 pairs",
+    ]
+
+
+def test_verify_full_profile(capsys):
+    code, out, _ = run(capsys, ["verify", "--profile", "full"])
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS worked example (width-5 commuting square): 4 equalities",
+        "PASS operator commutation: 945 ordered pairs, d <= 4, size <= 5",
+        "PASS free transitive action: bijective with inverse, d <= 4, size <= 6",
+        "PASS size and weight increments: 1155 applications, d <= 4, size <= 6",
+        "PASS weight formula equivalence: 329 configurations",
+        "PASS series identity three ways: d <= 5, t_cut <= 8, coefficients vs partitions",
+        "PASS box partition bijection: d <= 4, size <= 6, every weight",
+        "PASS submodule counts by colength: q=2,d=2,N=3, q=2,d=3,N=2, q=3,d=2,N=2",
+        "PASS stratum law: q=2,d=2,N=3, q=2,d=3,N=2, q=3,d=2,N=2",
+        "PASS free orbit product formula: 50 random independent generator sets, t_cut=8",
+        "PASS tightness preservation: 595 preserved applications",
+        "PASS content additivity under the action: 146 pairs",
     ]
 
 

@@ -6,6 +6,7 @@ level + seat/d computed with fractions.  The closed-form operator powers,
 `oracle.py` and against a full scan over exponents of the right total.
 """
 
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -123,6 +124,28 @@ class TestConfig:
     def test_sorted_slots_strictly_increasing(self, x):
         ranked = sorted_slots(x)
         assert all(a < b for a, b in zip(ranked, ranked[1:]))
+
+    def test_marks_worked_example(self):
+        assert Config((0, 2, 1, 0, 1)).marks() == (0, 11, 7, 3, 9)
+
+    def test_marks_equal_slot_index_exhaustive(self):
+        for d in range(1, 6):
+            for n in range(9):
+                for x in configs_with_size(d, n):
+                    assert x.marks() == tuple(slot_index(s, d) for s in x.slots()), x.levels
+
+
+class TestCompositions:
+    def test_matches_recursive_reference_in_order(self):
+        for total in range(9):
+            for parts in range(1, 7):
+                got = list(compositions(total, parts))
+                assert got == list(oracle.compositions(total, parts)), (total, parts)
+                assert len(got) == math.comb(total + parts - 1, parts - 1)
+
+    def test_rejects_no_parts(self):
+        with pytest.raises(ValueError):
+            list(compositions(3, 0))
 
 
 class TestShiftAll:
@@ -299,6 +322,13 @@ class TestTightness:
             is_tight(Config((0, 0)), 1)
         with pytest.raises(ValueError):
             is_tight(Config((0, 0)), 3)
+
+    def test_matches_slot_reference_exhaustive(self):
+        for d in range(2, 6):
+            for n in range(9):
+                for x in configs_with_size(d, n):
+                    for r in range(2, d + 1):
+                        assert is_tight(x, r) == oracle.is_tight(x, r), (x.levels, r)
 
     def test_preserved_by_lower_ranks_exhaustive_small(self):
         for d in (2, 3):

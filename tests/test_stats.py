@@ -84,6 +84,12 @@ class TestWeight:
     def test_matches_fraction_oracle(self, x):
         assert weight(x) == weight_oracle(x)
 
+    def test_matches_fraction_oracle_exhaustive(self):
+        for d in range(1, 6):
+            for n in range(9):
+                for x in configs_with_size(d, n):
+                    assert weight(x) == weight_oracle(x), x.levels
+
     @given(config_with_rank())
     def test_rises_by_rank_minus_one(self, data):
         x, j = data

@@ -8,19 +8,15 @@ both orders to show they commute, and reports the statistics along the way.
 import argparse
 import sys
 
-from spiralshift import (
-    Config,
-    decompose,
-    shift_from,
-    size,
-    sorted_slots,
-    weight,
-)
+from spiralshift import Config, decompose, shift_from, size, weight
 from spiralshift.cli import parse_levels
 
 
 def describe(label, x):
-    points = " ".join(f"({s.seat},{s.level})" for s in sorted_slots(x))
+    # Sorted height marks rank the points; divmod(mark, d) is (level, 0-based seat).
+    points = " ".join(
+        f"({seat + 1},{level})" for level, seat in (divmod(m, x.d) for m in sorted(x.marks()))
+    )
     print(f"{label}: levels={x.levels}  n={size(x)}  W={weight(x)}")
     print(f"    points low to high: {points}")
 

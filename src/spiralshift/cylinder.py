@@ -5,7 +5,11 @@ the cylinder [1..d] x N, one per seat: seat i carries a point at level n_i.
 Points are compared by height, level + seat/d, which for every width d is
 exactly the lexicographic order on (level, seat); no fractional arithmetic
 is ever needed.  Walking the cylinder upward in height order traces a
-spiral through all of [1..d] x N.
+spiral through all of [1..d] x N, and a point's place on it is its height
+mark: seat i at level a has mark a*d + (i-1), which `Config.marks` gives
+for every point of a configuration and `divmod(mark, d)` turns back into
+(level, 0-based seat).  Marks are the package's only coordinates for
+points.
 
 The operator of rank j keeps the j-1 lowest points of a configuration fixed
 and moves each remaining point up the spiral to the next seat occupied by
@@ -28,57 +32,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import total_ordering
 from operator import sub
 from typing import Iterator
 
 
 class InternalInvariantError(RuntimeError):
     """A bound that only an implementation bug can violate was exceeded."""
-
-
-@total_ordering
-@dataclass(frozen=True)
-class Slot:
-    """A cylinder point: a seat (at least 1) at a nonnegative level.
-
-    Ordered by (level, seat), which realizes the height order.
-    """
-
-    seat: int
-    level: int
-
-    def __post_init__(self) -> None:
-        if self.seat < 1:
-            raise ValueError(f"seat must be at least 1, got {self.seat}")
-        if self.level < 0:
-            raise ValueError(f"level must be nonnegative, got {self.level}")
-
-    def __lt__(self, other: "Slot") -> bool:
-        return (self.level, self.seat) < (other.level, other.seat)
-
-
-def slot_index(slot: Slot, d: int) -> int:
-    """0-based position of `slot` along the spiral of width d.
-
-    Strictly order preserving; `slot_from_index` inverts it, and
-    `Config.marks` gives the same positions for every point of a
-    configuration at once.
-    """
-    if d < 1:
-        raise ValueError("width d must be positive")
-    if slot.seat > d:
-        raise ValueError(f"seat {slot.seat} exceeds width {d}")
-    return slot.level * d + slot.seat - 1
-
-
-def slot_from_index(index: int, d: int) -> Slot:
-    if d < 1:
-        raise ValueError("width d must be positive")
-    if index < 0:
-        raise ValueError("index must be nonnegative")
-    level, offset = divmod(index, d)
-    return Slot(offset + 1, level)
 
 
 @dataclass(frozen=True)
@@ -104,22 +63,15 @@ class Config:
             raise ValueError("width d must be positive")
         return cls((0,) * d)
 
-    def slots(self) -> tuple[Slot, ...]:
-        return tuple(Slot(i, n) for i, n in enumerate(self.levels, start=1))
-
     def marks(self) -> tuple[int, ...]:
         """Per seat i, the spiral position n_i*d + (i-1) of its point: its height mark.
 
-        Seat by seat this is `slot_index(Slot(i, n_i), d)`, without building
-        the slots, so sorting the marks ranks the points by height.
+        This is the one rule from seat and level to position; `divmod(mark, d)`
+        inverts it to (level, 0-based seat).  Sorting the marks ranks the
+        points by height.
         """
         d = len(self.levels)
         return tuple([n * d + i for i, n in enumerate(self.levels)])
-
-
-def sorted_slots(x: Config) -> tuple[Slot, ...]:
-    """The points of x from lowest to highest; strict because seats differ."""
-    return tuple(sorted(x.slots()))
 
 
 @dataclass(frozen=True)

@@ -2,20 +2,20 @@
 
 The ambient object is (F_q[T]/T^N)^d, an F_q-space of dimension d*N whose
 coordinates are indexed by the monomials T^a u_i, each reused as a cylinder
-slot: seat i, level a.  The census works in flat positions, the slots'
-places along the spiral (`slot_index` and `slot_from_index` convert; a flat
-position p lies at level p // d on 0-based seat p % d), so flat order is the
-height order and T shifts a vector d places up, dropping the top level.
+point: seat i, level a.  The census works in flat positions, the points'
+height marks a*d + (i-1) (see `Config.marks`; `divmod(p, d)` gives back the
+level and the 0-based seat), so flat order is the height order and T shifts
+a vector d places up, dropping the top level.
 Subspaces closed under T correspond exactly to the finite-colength
 submodules of the untruncated module that contain T^N times everything, so
 enumerating them is an oracle for submodule counts by colength up to N.
 
-Two monomial orders are used, each given as the sort key of a slot: the
-height order `hlex_key` (level, then seat), whose reduced echelon bases are
-the canonical identity of a submodule and whose per-seat pivot profile is
-the leading-term stratum label, and the seat-major order `lex_key` (seat,
-then level), under which the strata are the diagonals of the
-lower-triangular generator matrices.  Both stratifications come from one
+Two monomial orders are used, each given as a sort key of (level, 0-based
+seat): the height order `hlex_key` (level, then seat), whose reduced
+echelon bases are the canonical identity of a submodule and whose per-seat
+pivot profile is the leading-term stratum label, and the seat-major order
+`lex_key` (seat, then level), under which the strata are the diagonals of
+the lower-triangular generator matrices.  Both stratifications come from one
 generator: for a profile x, the generator of seat i leads at level x_i and
 carries free coefficients from F_q on the monomials of the other seats that
 lie above its lead in the order and below their own seat's lead.
@@ -47,14 +47,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .cylinder import (
-    Config,
-    InternalInvariantError,
-    Slot,
-    configs_with_size,
-    slot_from_index,
-    slot_index,
-)
+from .cylinder import Config, InternalInvariantError, configs_with_size
 from .series import product_formula
 from .stats import size, weight
 
@@ -80,16 +73,17 @@ def is_prime(n: int) -> bool:
     )
 
 
-def hlex_key(slot: Slot) -> tuple[int, int]:
-    return (slot.level, slot.seat)
+def hlex_key(level: int, seat: int) -> tuple[int, int]:
+    return (level, seat)
 
 
-def lex_key(slot: Slot) -> tuple[int, int]:
-    return (slot.seat, slot.level)
+def lex_key(level: int, seat: int) -> tuple[int, int]:
+    return (seat, level)
 
 
-# A monomial order, given as the sort key of a slot: hlex_key or lex_key.
-MonomialKey = Callable[[Slot], tuple[int, int]]
+# A monomial order, given as the sort key of the monomial T^level u_(seat+1),
+# with seat 0-based as `divmod(p, d)` gives it: hlex_key or lex_key.
+MonomialKey = Callable[[int, int], tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -97,8 +91,8 @@ class ModuleSpace:
     """The window (F_q[T]/T^depth)^d as a flat coefficient space.
 
     Vectors are tuples of length d*depth; the coefficient of T^a u_i sits at
-    flat position `slot_index(Slot(i, a), d)`, so flat order is the height
-    order.  The modulus q must be a prime below 2**64.
+    flat position a*d + (i-1), so flat order is the height order.  The
+    modulus q must be a prime below 2**64.
     """
 
     q: int
@@ -120,7 +114,7 @@ class ModuleSpace:
         return self.d * self.depth
 
     def scan_order(self, key: MonomialKey) -> tuple[int, ...]:
-        """Flat positions listed from lowest monomial up, in the order `key` sorts slots."""
+        """Flat positions listed from lowest monomial up, in the monomial order `key`."""
         return _scan_order(self.d, self.depth, key)
 
     def mul_by_t(self, vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -130,13 +124,13 @@ class ModuleSpace:
 
 @functools.cache
 def _scan_order(d: int, depth: int, key: MonomialKey) -> tuple[int, ...]:
-    return tuple(sorted(range(d * depth), key=lambda p: key(slot_from_index(p, d))))
+    return tuple(sorted(range(d * depth), key=lambda p: key(*divmod(p, d))))
 
 
 def echelonize(
     space: ModuleSpace, vectors: Iterable[tuple[int, ...]], key: MonomialKey = hlex_key
 ) -> tuple[tuple[int, ...], ...]:
-    """Reduced echelon basis of the span, canonical for the order `key` sorts slots in.
+    """Reduced echelon basis of the span, canonical for the monomial order `key`.
 
     Each row's pivot is its lowest nonzero monomial; pivots are normalized
     to 1 and cleared from every other row.  Rows come back sorted by pivot.
@@ -309,9 +303,9 @@ def _pivot_sets(space: ModuleSpace) -> Iterator[tuple[int, ...]]:
     """
     for profile in itertools.product(range(space.depth + 1), repeat=space.d):
         yield tuple(
-            slot_index(Slot(seat, level), space.d)
-            for seat in range(1, space.d + 1)
-            for level in range(profile[seat - 1], space.depth)
+            level * space.d + seat
+            for seat in range(space.d)
+            for level in range(profile[seat], space.depth)
         )
 
 
@@ -440,23 +434,24 @@ def _checked_size(x: Config, members: list[SubmoduleBasis]) -> int:
     return len(members)
 
 
-def _family_cells(x: Config, key: MonomialKey) -> list[list[Slot]]:
-    """Per seat, the free cells of the generator whose leading monomial is seat i at level x_i.
+def _family_cells(x: Config, key: MonomialKey) -> list[list[int]]:
+    """Per seat, the flat positions of the free cells of the generator leading at level x_i.
 
     They are the monomials above the leading one in the order `key` that lie
     on another seat, below that seat's own leading level.  Under `hlex_key`
     they number weight(x); under `lex_key` they are the cells below the
     diagonal x of a lower-triangular generator matrix, column by column.
     """
+    d = x.d
     return [
         [
-            Slot(j, a)
-            for j, nj in enumerate(x.levels, start=1)
+            a * d + j
+            for j, nj in enumerate(x.levels)
             if j != seat
             for a in range(nj)
-            if key(Slot(j, a)) > key(Slot(seat, level))
+            if key(a, j) > key(level, seat)
         ]
-        for seat, level in enumerate(x.levels, start=1)
+        for seat, level in enumerate(x.levels)
     ]
 
 
@@ -476,9 +471,9 @@ def _family(x: Config, q: int, depth: int, key: MonomialKey) -> list[SubmoduleBa
     # Per seat with a lead in the window, the flat positions of the lead and
     # of the free cells; a truncated generator is zero and spans nothing.
     gens = []
-    for seat, (level, cells) in enumerate(zip(x.levels, _family_cells(x, key)), start=1):
+    for seat, (level, cells) in enumerate(zip(x.levels, _family_cells(x, key))):
         if level < depth:
-            gens.append((slot_index(Slot(seat, level), x.d), [slot_index(c, x.d) for c in cells]))
+            gens.append((level * x.d + seat, cells))
         elif cells:
             # Unreachable: depth >= colength forces the cell list empty here.
             raise InternalInvariantError("free cells attached to a truncated leading monomial")

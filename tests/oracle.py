@@ -1,10 +1,15 @@
 """Slow reference implementations of the spiral shifting operators and the census.
 
+`Slot` is the reference coordinate system: a cylinder point as a (seat,
+level) value ordered by height, with `slot_index` and `slot_from_index`
+the spiral index and its inverse.  The package works on height marks and
+flat positions only, and is tested against these.
+
 The operators follow the definition literally: each mover walks up the
 spiral one position at a time until it reaches a seat of the moving group,
 and powers and actions are loops of single applications.  The closed forms
 in `spiralshift.cylinder` are tested against them; they share only the
-value types and the linear spiral index.  `shift_all` is the closed form of
+value types `Config` and `MultiIndex`.  `shift_all` is the closed form of
 one rank-1 step, `unit` the exponent vector of one rank-j step, and
 `distance` the floored height gap whose sum over pairs of points defines
 the weight.  `compositions` is the head-first recursion and `is_tight` the
@@ -13,22 +18,67 @@ and height-mark versions in `spiralshift.cylinder`.
 
 The census reference scans every reduced echelon form of every pivot set
 and tests T-stability by listing the span, so it shares nothing with
-`enumerate_submodules` but the basis value type.  `monomial_vector` builds
-the flat vector of one monomial of a window.  `leading_profile` reads the
-per-seat leading levels off the whole span, with no echelon form.
+`enumerate_submodules` but the basis value type `SubmoduleBasis`.
+`monomial_vector` builds the flat vector of one monomial of a window.
+`family_cells` lists a family's free cells as slots under `hlex_order`
+or `lex_order`.  `leading_profile` reads the per-seat leading levels off
+the whole span, with no echelon form.
 """
 
 import itertools
+from dataclasses import dataclass
+from functools import total_ordering
 
-from spiralshift import (
-    Config,
-    MultiIndex,
-    Slot,
-    SubmoduleBasis,
-    slot_from_index,
-    slot_index,
-    sorted_slots,
-)
+from spiralshift import Config, MultiIndex, SubmoduleBasis
+
+
+@total_ordering
+@dataclass(frozen=True)
+class Slot:
+    """A cylinder point: a seat (at least 1) at a nonnegative level.
+
+    Ordered by (level, seat), which realizes the height order.
+    """
+
+    seat: int
+    level: int
+
+    def __post_init__(self) -> None:
+        if self.seat < 1:
+            raise ValueError(f"seat must be at least 1, got {self.seat}")
+        if self.level < 0:
+            raise ValueError(f"level must be nonnegative, got {self.level}")
+
+    def __lt__(self, other: "Slot") -> bool:
+        return (self.level, self.seat) < (other.level, other.seat)
+
+
+def slot_index(slot: Slot, d: int) -> int:
+    """0-based position of `slot` along the spiral of width d; `slot_from_index` inverts it."""
+    if d < 1:
+        raise ValueError("width d must be positive")
+    if slot.seat > d:
+        raise ValueError(f"seat {slot.seat} exceeds width {d}")
+    return slot.level * d + slot.seat - 1
+
+
+def slot_from_index(index: int, d: int) -> Slot:
+    if d < 1:
+        raise ValueError("width d must be positive")
+    if index < 0:
+        raise ValueError("index must be nonnegative")
+    level, offset = divmod(index, d)
+    return Slot(offset + 1, level)
+
+
+def slots(x: Config) -> tuple[Slot, ...]:
+    """The points of x, seat by seat."""
+    return tuple(Slot(i, n) for i, n in enumerate(x.levels, start=1))
+
+
+def sorted_slots(x: Config) -> tuple[Slot, ...]:
+    """The points of x from lowest to highest; strict because seats differ."""
+    return tuple(sorted(slots(x)))
 
 
 def compositions(total: int, parts: int):
@@ -132,20 +182,46 @@ def monomial_vector(space, slot: Slot) -> tuple[int, ...]:
     return tuple(vec)
 
 
+def hlex_order(slot: Slot) -> Slot:
+    """The height order on slots: `Slot`'s own order."""
+    return slot
+
+
+def lex_order(slot: Slot) -> tuple[int, int]:
+    """The seat-major order on slots: seat, then level."""
+    return (slot.seat, slot.level)
+
+
+def family_cells(x: Config, order) -> list[list[Slot]]:
+    """Per seat i, the slots (j, a) with j != i and a < x_j that lie above (i, x_i) in `order`."""
+    return [
+        [
+            Slot(j, a)
+            for j, nj in enumerate(x.levels, start=1)
+            if j != seat
+            for a in range(nj)
+            if order(Slot(j, a)) > order(Slot(seat, level))
+        ]
+        for seat, level in enumerate(x.levels, start=1)
+    ]
+
+
 def leading_profile(m: SubmoduleBasis, key) -> tuple[int, ...]:
     """Per seat, the least level of a leading monomial under `key` of a nonzero span vector.
 
-    The span is listed from every coefficient tuple.  A seat that leads no
-    vector gets the window depth.
+    `key` is a package monomial key on (level, 0-based seat).  The span is
+    listed from every coefficient tuple.  A seat that leads no vector gets
+    the window depth.
     """
     space = m.space
-    q, dim = space.q, space.dim
-    lows = [space.depth] * space.d
+    q, d, dim = space.q, space.d, space.dim
+    lows = [space.depth] * d
     for coeffs in itertools.product(range(q), repeat=len(m.rows)):
         vec = [sum(c * row[i] for c, row in zip(coeffs, m.rows)) % q for i in range(dim)]
         if any(vec):
-            lead = min((slot_from_index(p, space.d) for p, c in enumerate(vec) if c), key=key)
-            lows[lead.seat - 1] = min(lows[lead.seat - 1], lead.level)
+            lead = min((p for p, c in enumerate(vec) if c), key=lambda p: key(*divmod(p, d)))
+            level, seat = divmod(lead, d)
+            lows[seat] = min(lows[seat], level)
     return tuple(lows)
 
 

@@ -415,11 +415,26 @@ def test_census_bad_input_exits_2_without_traceback(argv, message):
     assert "Traceback" not in done.stderr
 
 
+WORKED_EXAMPLE_STDOUT = (
+    "start: levels=(0, 2, 1, 0, 1)  n=4  W=6\n"
+    "    points low to high: (1,0) (4,0) (3,1) (5,1) (2,2)\n"
+    "after rank 3: levels=(0, 2, 2, 0, 1)  n=5  W=8\n"
+    "    points low to high: (1,0) (4,0) (5,1) (2,2) (3,2)\n"
+    "after rank 2: levels=(0, 2, 2, 1, 0)  n=5  W=7\n"
+    "    points low to high: (1,0) (5,0) (4,1) (2,2) (3,2)\n"
+    "rank 3 then rank 2: levels=(0, 2, 2, 2, 0)  n=6  W=9\n"
+    "    points low to high: (1,0) (5,0) (2,2) (3,2) (4,2)\n"
+    "rank 2 then rank 3: levels=(0, 2, 2, 2, 0)  n=6  W=9\n"
+    "    points low to high: (1,0) (5,0) (2,2) (3,2) (4,2)\n"
+    "commutes: True\n"
+    "exponents reaching (0, 2, 1, 0, 1) from the origin: (0, 2, 2, 0, 0)\n"
+)
+
+
 def test_worked_example_script_default_run():
     done = run_python(str(ROOT / "scripts" / "worked_example.py"))
     assert done.returncode == 0, done.stderr
-    assert "commutes: True" in done.stdout
-    assert "(0, 2, 2, 0, 0)" in done.stdout
+    assert done.stdout == WORKED_EXAMPLE_STDOUT
 
 
 @pytest.mark.parametrize(

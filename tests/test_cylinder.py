@@ -1,7 +1,9 @@
 """Configurations, the spiral successor, and the shifting operators.
 
 The independent oracle for everything order-related is the exact height
-level + seat/d computed with fractions.  The closed-form operator powers,
+level + seat/d computed with fractions; it pins the reference `oracle.Slot`
+order and spiral index, which in turn pin the package's height marks.
+The closed-form operator powers,
 `act` and `decompose` are checked against the seat-by-seat walk in
 `oracle.py` and against a full scan over exponents of the right total.
 """
@@ -17,7 +19,6 @@ from spiralshift import (
     Config,
     InternalInvariantError,
     MultiIndex,
-    Slot,
     act,
     compositions,
     configs_with_size,
@@ -25,13 +26,10 @@ from spiralshift import (
     is_tight,
     shift_from,
     size,
-    slot_from_index,
-    slot_index,
-    sorted_slots,
 )
 from spiralshift import cylinder
 import oracle
-from oracle import shift_all, shift_slot
+from oracle import Slot, shift_all, shift_slot, slot_from_index, slot_index, slots, sorted_slots
 from strategies import config_with_exponents, config_with_rank, configs
 
 
@@ -132,7 +130,7 @@ class TestConfig:
         for d in range(1, 6):
             for n in range(9):
                 for x in configs_with_size(d, n):
-                    assert x.marks() == tuple(slot_index(s, d) for s in x.slots()), x.levels
+                    assert x.marks() == tuple(slot_index(s, d) for s in slots(x)), x.levels
 
 
 class TestCompositions:
@@ -156,8 +154,8 @@ class TestShiftAll:
 
     @given(configs())
     def test_moves_every_point_one_step(self, x):
-        moved = {shift_slot(s, 1, x.d) for s in x.slots()}
-        assert set(shift_all(x).slots()) == moved
+        moved = {shift_slot(s, 1, x.d) for s in slots(x)}
+        assert set(slots(shift_all(x))) == moved
 
     @given(configs())
     def test_agrees_with_rank_one_operator(self, x):

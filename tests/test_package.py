@@ -9,6 +9,62 @@ from pathlib import Path
 import spiralshift
 
 
+# The public surface, sorted; a name added to or taken from `__all__` shows up here.
+EXPORTED = [
+    "BiPoly",
+    "Census",
+    "Config",
+    "ContentExponents",
+    "DEFAULT_CAP",
+    "FeasibilityError",
+    "GeneratorSet",
+    "InternalInvariantError",
+    "ModuleSpace",
+    "MultiIndex",
+    "NotFreeError",
+    "Partition",
+    "SubmoduleBasis",
+    "act",
+    "box_partitions",
+    "brute_strata",
+    "compositions",
+    "configs_with_size",
+    "content",
+    "decompose",
+    "echelonize",
+    "enumerate_stratum",
+    "enumerate_submodules",
+    "free_orbit_formula",
+    "gaussian_count",
+    "gaussian_counts",
+    "geometric_inverse",
+    "hermite_strata",
+    "hlex_key",
+    "is_free_basis",
+    "is_tight",
+    "leading_module",
+    "lex_key",
+    "multiindex_content",
+    "orbit_sum",
+    "partition_to_config",
+    "pivot_profile",
+    "product_formula",
+    "recurrence_formula",
+    "semigroup_elements",
+    "shift_from",
+    "size",
+    "sum_over_configs",
+    "weight",
+    "weight_by_seats",
+    "window_depth",
+]
+
+
+def test_exports_are_the_pinned_names():
+    assert EXPORTED == sorted(EXPORTED)
+    assert sorted(spiralshift.__all__) == EXPORTED
+
+
 def test_every_exported_name_resolves_once():
     names = spiralshift.__all__
     assert len(names) == len(set(names))

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from spiralshift import (
     Config,
     MultiIndex,
-    Slot,
     act,
     configs_with_size,
     content,
@@ -22,7 +21,7 @@ from spiralshift import (
     weight,
     weight_by_seats,
 )
-from oracle import distance, shift_all, unit
+from oracle import Slot, distance, shift_all, slots, unit
 from strategies import config_with_exponents, config_with_rank, configs
 
 
@@ -32,7 +31,7 @@ def height(slot, d):
 
 def weight_oracle(x):
     """Floor the exact fraction height gaps over all pairs."""
-    heights = sorted(height(s, x.d) for s in x.slots())
+    heights = sorted(height(s, x.d) for s in slots(x))
     return sum(
         math.floor(hb - ha)
         for k, hb in enumerate(heights)
@@ -65,7 +64,7 @@ class TestDistance:
 
     @given(configs(max_d=6, max_level=6))
     def test_matches_fraction_floor(self, x):
-        ranked = sorted(x.slots())
+        ranked = sorted(slots(x))
         for k, upper in enumerate(ranked):
             for lower in ranked[:k]:
                 expected = math.floor(height(upper, x.d) - height(lower, x.d))

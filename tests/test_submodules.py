@@ -3,7 +3,9 @@
 Independent oracles: Galois numbers (all subspaces, counted by Gaussian
 binomials), complete homogeneous sums for the colength totals, the
 all-pivot-sets scan `oracle.t_stable_subspaces`, and the brute scan
-`brute_strata` that the stratum walk `Census.walk` is pinned against.
+`brute_strata` that the stratum walk `Census.walk` is pinned against.  The
+scan orders, family cells and families, all in flat positions, are pinned
+to references built from `oracle.Slot`.
 """
 
 import itertools
@@ -18,7 +20,6 @@ from spiralshift import (
     FeasibilityError,
     InternalInvariantError,
     ModuleSpace,
-    Slot,
     SubmoduleBasis,
     brute_strata,
     configs_with_size,
@@ -30,15 +31,16 @@ from spiralshift import (
     leading_module,
     lex_key,
     pivot_profile,
-    slot_from_index,
-    slot_index,
     weight,
     window_depth,
 )
 
 import oracle
 import spiralshift.submodules as submodules
-from oracle import monomial_vector
+from oracle import Slot, monomial_vector, slot_from_index, slot_index
+
+# Each package monomial key, on (level, 0-based seat), with the reference order on slots.
+KEY_ORDERS = [(hlex_key, oracle.hlex_order), (lex_key, oracle.lex_order)]
 
 
 def gaussian_binomial(n, k, q):
@@ -130,6 +132,15 @@ class TestModuleSpace:
         assert space.scan_order(hlex_key) == (0, 1, 2, 3)
         # Seat-major: u1, Tu1, u2, Tu2 at flat positions 0, 2, 1, 3.
         assert space.scan_order(lex_key) == (0, 2, 1, 3)
+
+    def test_scan_orders_equal_the_slot_orders(self):
+        for d in range(1, 5):
+            for depth in range(1, 6):
+                for key, order in KEY_ORDERS:
+                    expected = sorted(
+                        range(d * depth), key=lambda p: order(slot_from_index(p, d))
+                    )
+                    assert submodules._scan_order(d, depth, key) == tuple(expected), (d, depth)
 
 
 class TestEchelonize:
@@ -391,13 +402,22 @@ SMALL_CONFIGS = [x for d in range(1, 5) for n in range(6) for x in configs_with_
 
 
 class TestFamilyCells:
+    def test_cells_equal_the_slot_reference(self):
+        for x in SMALL_CONFIGS:
+            for key, order in KEY_ORDERS:
+                expected = [
+                    [slot_index(cell, x.d) for cell in cells]
+                    for cells in oracle.family_cells(x, order)
+                ]
+                assert submodules._family_cells(x, key) == expected, (x, key)
+
     def test_lex_cells_are_the_cells_below_the_diagonal(self):
         for x in SMALL_CONFIGS:
             cells = submodules._family_cells(x, lex_key)
             flat = [
                 (slot.seat, column, slot.level)
                 for column, seat_cells in enumerate(cells, start=1)
-                for slot in seat_cells
+                for slot in (slot_from_index(p, x.d) for p in seat_cells)
             ]
             assert flat == below_diagonal(x.levels), x
 
@@ -408,12 +428,13 @@ class TestFamilyCells:
 
 
 def echelonized_family(x, q, depth, key):
-    """The family of x built the slow way: every generator's `depth` T-powers, echelonized."""
+    """The family of x built the slow way from `oracle.family_cells`: every generator's
+    `depth` T-powers, echelonized."""
     space = ModuleSpace(q, x.d, depth)
     gens = [
         (Slot(seat, level), cells)
         for seat, (level, cells) in enumerate(
-            zip(x.levels, submodules._family_cells(x, key)), start=1
+            zip(x.levels, oracle.family_cells(x, dict(KEY_ORDERS)[key])), start=1
         )
         if level < depth
     ]

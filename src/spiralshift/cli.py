@@ -131,7 +131,7 @@ def cmd_series(args) -> Findings:
 
 
 def cmd_orbit(args) -> Findings:
-    x0 = Config(parse_levels(args.x0))
+    x0 = parse_config(args.x0, args.d)
     gens = GeneratorSet(args.d, tuple(MultiIndex(parse_levels(g)) for g in args.gens))
     if args.closed_form:
         p = free_orbit_formula(x0, gens, args.tcut)

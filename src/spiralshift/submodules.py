@@ -19,21 +19,21 @@ the lower-triangular generator matrices.  Both stratifications come from one
 generator: for a profile x, the generator of seat i leads at level x_i and
 carries free coefficients from F_q on the monomials of the other seats that
 lie above its lead in the order and below their own seat's lead.
-Under `hlex_key` that family is the stratum `enumerate_stratum` returns,
-of q**W(x) members; under `lex_key` it is the group of Hermite matrices
-with diagonal x that `hermite_strata` returns.  A member is spanned by the
-T-powers of its generators up to the first zero one.  Under `hlex_key`
-each power leads at its own flat position with coefficient 1, so the
-canonical basis is one back-substitution; under `lex_key` the height-order
-leads can collide, and the powers are echelonized.
+Under `hlex_key` that family is the stratum of x, of q**W(x) members;
+under `lex_key` it is the group of Hermite matrices with diagonal x.  A
+member is spanned by the T-powers of its generators up to the first zero
+one.  Under `hlex_key` each power leads at its own flat position with
+coefficient 1, so the canonical basis is one back-substitution; under
+`lex_key` the height-order leads can collide, and the powers are
+echelonized.  Every elimination step, in both, is one `_reduce`.
 
-`Census.walk`, `enumerate_stratum` and `hermite_strata` share one capped
-path, `_families`: it validates q and d, sums the members of the requested
-families against `cap`, and only then yields them one profile at a time.
-The walk checks each stratum's members as they come, from their rows
-alone: reduced echelon form, T-stability, colength, leading module and no
-repeats.  It keeps only the stratum sizes; the colength totals and the
-stratum sizes, with their predictions, are read off it.  The scan
+`families(q, d, n, key)` is the one capped path to the families: it
+validates q and d, sums the members of every family of size at most n
+against `cap`, and only then yields them one profile at a time.
+`Census.walk` checks each hlex stratum's members as they come, from their
+rows alone: reduced echelon form, T-stability, colength, leading module
+and no repeats.  It keeps only the stratum sizes; the colength totals and
+the stratum sizes, with their predictions, are read off it.  The scan
 `enumerate_submodules`, grouped by `brute_strata`, is the independent
 oracle the walk is tested against.
 Every enumerator counts its exact work (members or candidates) before it
@@ -137,41 +137,38 @@ def echelonize(
     """
     q = space.q
     seq = space.scan_order(key)
-    pivots: dict[int, list[int]] = {}
+    pivots: dict[int, tuple[int, ...]] = {}
     for vec in vectors:
-        v = list(vec)
-        for rank in sorted(pivots):
-            c = v[seq[rank]]
-            if c:
-                row = pivots[rank]
-                v = [(a - c * b) % q for a, b in zip(v, row)]
+        ranks = sorted(pivots)
+        v = _reduce(q, [pivots[rank] for rank in ranks], [seq[rank] for rank in ranks], vec)
         lead = next((rank for rank in range(space.dim) if v[seq[rank]]), None)
         if lead is None:
             continue
         inv = pow(v[seq[lead]], -1, q)
-        v = [(a * inv) % q for a in v]
+        v = tuple((a * inv) % q for a in v)
         for rank, row in pivots.items():
-            c = row[seq[lead]]
-            if c:
-                pivots[rank] = [(a - c * b) % q for a, b in zip(row, v)]
+            pivots[rank] = _reduce(q, (v,), (seq[lead],), row)
         pivots[lead] = v
-    return tuple(tuple(pivots[rank]) for rank in sorted(pivots))
+    return tuple(pivots[rank] for rank in sorted(pivots))
 
 
 def _reduce(
-    space: ModuleSpace,
-    rows: tuple[tuple[int, ...], ...],
-    pivot_positions: tuple[int, ...],
+    q: int,
+    rows: Iterable[tuple[int, ...]],
+    pivot_positions: Iterable[int],
     vec: tuple[int, ...],
 ) -> tuple[int, ...]:
-    """Remainder of vec modulo a reduced echelon basis."""
-    q = space.q
-    v = list(vec)
+    """vec with each row's pivot position cleared by that row, in turn.
+
+    Each row must be 1 at its own pivot; when the rows are also zero at one
+    another's pivots, as in a reduced echelon basis, this is the remainder
+    of vec modulo their span.
+    """
     for row, p in zip(rows, pivot_positions):
-        c = v[p]
+        c = vec[p]
         if c:
-            v = [(a - c * b) % q for a, b in zip(v, row)]
-    return tuple(v)
+            vec = tuple([(a - c * b) % q for a, b in zip(vec, row)])
+    return vec
 
 
 @dataclass(frozen=True)
@@ -216,10 +213,9 @@ class SubmoduleBasis:
         return True
 
     def is_t_stable(self) -> bool:
-        pivots = self._pivots
+        q, rows, pivots = self.space.q, self.rows, self._pivots
         return not any(
-            any(_reduce(self.space, self.rows, pivots, self.space.mul_by_t(row)))
-            for row in self.rows
+            any(_reduce(q, rows, pivots, self.space.mul_by_t(row))) for row in rows
         )
 
 
@@ -256,7 +252,7 @@ def leading_module(m: SubmoduleBasis) -> Config:
     return Config(pivot_profile(m))
 
 
-def _check_work(work: Iterable[int], cap: int, what: str) -> None:
+def _check_work(work: Iterable[int], cap: int) -> None:
     """Refuse before any enumeration when the summed work exceeds cap.
 
     Summing stops at the first partial sum past cap, so the check itself
@@ -266,7 +262,7 @@ def _check_work(work: Iterable[int], cap: int, what: str) -> None:
     for amount in work:
         total += amount
         if total > cap:
-            raise FeasibilityError(f"{what} exceed the cap {cap}")
+            raise FeasibilityError(f"submodules to build exceed the cap {cap}")
 
 
 def _echelon_cells(space: ModuleSpace, pivot_positions: Iterable[int]) -> list[list[int]]:
@@ -320,11 +316,7 @@ def enumerate_submodules(
     exceed `cap`.  Output is sorted.
     """
     space = ModuleSpace(q, d, depth)
-    _check_work(
-        (q ** sum(map(len, _echelon_cells(space, p))) for p in _pivot_sets(space)),
-        cap,
-        "echelon candidates to scan",
-    )
+    _check_work((q ** sum(map(len, _echelon_cells(space, p))) for p in _pivot_sets(space)), cap)
     found = []
     for pivot_positions in _pivot_sets(space):
         for rows in _echelon_candidates(space, pivot_positions):
@@ -335,21 +327,15 @@ def enumerate_submodules(
     return found
 
 
-def window_depth(colength: int, depth: int | None = None) -> int:
-    """The window depth for submodules of colength up to `colength`.
+def window_depth(colength: int) -> int:
+    """The window depth for submodules of colength up to `colength`: max(colength, 1).
 
     A colength-n submodule contains T^n times the ambient module, so a
-    window of depth n sees it whole.  Without `depth` this is
-    max(colength, 1); a given depth below that raises ValueError.
+    window of depth n sees it whole.
     """
     if colength < 0:
         raise ValueError(f"colength must be nonnegative, got {colength}")
-    least = max(colength, 1)
-    if depth is None:
-        return least
-    if depth < least:
-        raise ValueError(f"window depth {depth} too shallow for colength {colength}")
-    return depth
+    return max(colength, 1)
 
 
 def brute_strata(q: int, d: int, n: int) -> dict[Config, list[SubmoduleBasis]]:
@@ -383,11 +369,10 @@ class Census:
     def walk(cls, q: int, d: int, n: int, cap: int = DEFAULT_CAP) -> "Census":
         """Generate every stratum of size at most n and count its checked members.
 
-        The strata come one at a time from `_families`, so the members to
-        generate, summed over the strata, may not exceed `cap`.
+        The strata are the hlex families, one at a time from `families`, so
+        their members, summed, may not exceed `cap`.
         """
-        xs = (x for k in range(n + 1) for x in configs_with_size(d, k))
-        strata = _families(q, d, xs, window_depth(n), hlex_key, cap, "submodules to walk")
+        strata = families(q, d, n, hlex_key, cap)
         return cls(q, d, n, {x: _checked_size(x, members) for x, members in strata})
 
     def observed(self) -> list[int]:
@@ -511,59 +496,31 @@ def _back_substitute(
     those are zero at one another's pivots, so each clearing leaves the
     others in place.  Rows come back sorted by pivot.
     """
-    done: dict[int, tuple[int, ...]] = {}
+    rows: list[tuple[int, ...]] = []
+    pivots: list[int] = []
     for pivot, row in sorted(closure, reverse=True):
-        for p, other in done.items():
-            c = row[p]
-            if c:
-                row = tuple((a - c * b) % q for a, b in zip(row, other))
-        done[pivot] = row
-    return tuple(reversed(done.values()))
+        rows.append(_reduce(q, rows, pivots, row))
+        pivots.append(pivot)
+    return tuple(reversed(rows))
 
 
-def _families(
-    q: int, d: int, xs: Iterable[Config], depth: int, key: MonomialKey, cap: int, what: str
+def families(
+    q: int, d: int, n: int, key: MonomialKey = hlex_key, cap: int = DEFAULT_CAP
 ) -> Iterator[tuple[Config, list[SubmoduleBasis]]]:
-    """(x, family of x under `key`) for each profile x, after one check of the total work.
+    """(x, family of x under `key`) for every profile x of size at most n, smallest first.
 
-    q and d are validated first, then the members of all the families, q
-    to each family's free-cell count, are summed against `cap`; only then
-    is any family built, one at a time.
+    Under `hlex_key` the family of x is the stratum of submodules with
+    leading module x, of q**W(x) members; under `lex_key` it is the group of
+    Hermite matrices with diagonal x: column j is the generator T^{x_j} u_j
+    plus, on each seat i > j, a polynomial of degree below x_i.  Every
+    family lives in the window of depth window_depth(n).  q and d are
+    validated first, then the members of all the families, q to each
+    family's free-cell count, are summed against `cap`; only then is any
+    family built, one at a time.
     """
+    depth = window_depth(n)
     ModuleSpace(q, d, depth)  # rejects a bad q or d before the cap is checked
-    xs = list(xs)
-    _check_work((q ** sum(map(len, _family_cells(x, key))) for x in xs), cap, what)
+    xs = [x for k in range(n + 1) for x in configs_with_size(d, k)]
+    _check_work((q ** sum(map(len, _family_cells(x, key))) for x in xs), cap)
     for x in xs:
         yield x, _family(x, q, depth, key)
-
-
-def enumerate_stratum(
-    x: Config, q: int, depth: int | None = None, cap: int = DEFAULT_CAP
-) -> list[SubmoduleBasis]:
-    """All submodules whose leading-term profile is exactly x: the hlex family of x.
-
-    Their number, q to the free-cell count, may not exceed `cap`.  The
-    census tests pin the count to q**weight(x) and the output to the
-    brute-force stratum.
-    """
-    depth = window_depth(sum(x.levels), depth)
-    [(_, members)] = _families(q, x.d, [x], depth, hlex_key, cap, "submodules in the stratum")
-    return members
-
-
-def hermite_strata(
-    q: int, d: int, colength: int, depth: int | None = None, cap: int = DEFAULT_CAP
-) -> dict[tuple[int, ...], list[SubmoduleBasis]]:
-    """Colength-n submodules grouped by lower-triangular generator matrices: the lex families.
-
-    Column j of a matrix is the generator T^{n_j} u_j plus, on each seat
-    i > j, a polynomial of degree below n_i; the group for a diagonal
-    (n_1, ..., n_d) has q ** (sum of n_i over below-diagonal cells) members.
-    Those members, summed over the diagonals, may not exceed `cap`.  The
-    census tests pin the groups to be disjoint and to cover the colength
-    class exactly.
-    """
-    depth = window_depth(colength, depth)
-    xs = configs_with_size(d, colength)
-    families = _families(q, d, xs, depth, lex_key, cap, "generator matrices to build")
-    return {x.levels: members for x, members in families}

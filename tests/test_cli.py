@@ -279,6 +279,7 @@ def test_malformed_tuple_exits_2(capsys):
         ["apply", "--d", "3", "--j", "2", "--x", "0,2,1,0,1"],
         ["decompose", "--d", "7", "--x", "1,0,2"],
         ["stats", "--d", "2", "--x", "1,0,2"],
+        ["orbit", "--d", "2", "--x0", "0,0,0", "--gens", "1,0"],
     ],
 )
 def test_width_mismatch_exits_2(capsys, argv):

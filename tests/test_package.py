@@ -32,13 +32,12 @@ EXPORTED = [
     "content",
     "decompose",
     "echelonize",
-    "enumerate_stratum",
     "enumerate_submodules",
+    "families",
     "free_orbit_formula",
     "gaussian_count",
     "gaussian_counts",
     "geometric_inverse",
-    "hermite_strata",
     "hlex_key",
     "is_free_basis",
     "is_tight",

@@ -24,13 +24,13 @@ from spiralshift import (
     brute_strata,
     configs_with_size,
     echelonize,
-    enumerate_stratum,
     enumerate_submodules,
-    hermite_strata,
+    families,
     hlex_key,
     leading_module,
     lex_key,
     pivot_profile,
+    size,
     weight,
     window_depth,
 )
@@ -314,9 +314,6 @@ class TestCensus:
 
     def test_window_depth(self):
         assert [window_depth(n) for n in (0, 1, 2, 5)] == [1, 1, 2, 5]
-        assert window_depth(2, depth=4) == 4
-        with pytest.raises(ValueError, match="too shallow"):
-            window_depth(3, depth=2)
         with pytest.raises(ValueError, match="nonnegative"):
             window_depth(-1)
 
@@ -324,50 +321,48 @@ class TestCensus:
 class TestStrata:
     def test_origin_stratum_is_the_full_module(self):
         for q, d in ((2, 2), (3, 3)):
-            strata = enumerate_stratum(Config.origin(d), q)
+            strata = dict(families(q, d, 0))[Config.origin(d)]
             assert len(strata) == 1
             assert strata[0].codim == 0
 
     def test_counts_are_q_to_the_weight(self):
-        assert len(enumerate_stratum(Config((2, 0)), 2)) == 2
-        assert len(enumerate_stratum(Config((0, 2)), 3)) == 9
+        assert len(dict(families(2, 2, 2))[Config((2, 0))]) == 2
+        assert len(dict(families(3, 2, 2))[Config((0, 2))]) == 9
 
     def test_set_equals_brute_force_stratum(self):
         q, d, depth = 2, 2, 3
         subs = enumerate_submodules(q, d, depth)
+        strata = dict(families(q, d, depth))
         for n in range(depth + 1):
             for x in configs_with_size(d, n):
                 brute = {m for m in subs if m.codim == n and leading_module(m) == x}
-                direct = enumerate_stratum(x, q, depth=depth)
+                direct = strata[x]
                 assert len(set(direct)) == len(direct) == q ** weight(x)
                 assert set(direct) == brute
 
-    def test_rejects_too_shallow_window(self):
-        with pytest.raises(ValueError):
-            enumerate_stratum(Config((2, 1)), 2, depth=2)
-
-    def test_default_depth_is_the_colength(self):
-        x = Config((2, 0))
-        assert enumerate_stratum(x, 2) == enumerate_stratum(x, 2, depth=2)
+    def test_yields_every_profile_smallest_size_first(self):
+        xs = [x for x, _ in families(2, 3, 2)]
+        assert xs == [x for n in range(3) for x in configs_with_size(3, n)]
 
 
-def hermite_members(q, d, n, depth=None):
-    """Every Hermite group's members, concatenated."""
-    return [m for group in hermite_strata(q, d, n, depth=depth).values() for m in group]
+def hermite_members(q, d, depth, n):
+    """The members of the lex families of size n in the window of `depth`, concatenated."""
+    return [m for x, group in families(q, d, depth, lex_key) if size(x) == n for m in group]
 
 
 class TestHermite:
     def test_colength_zero(self):
-        got = hermite_members(2, 2, 0)
+        got = hermite_members(2, 2, 0, 0)
         assert len(got) == 1
         assert got[0].codim == 0
 
     def test_three_matrices_at_colength_one(self):
-        assert len(hermite_members(2, 2, 1)) == 3
+        assert len(hermite_members(2, 2, 1, 1)) == 3
 
     def test_group_sizes_follow_below_diagonal_cells(self):
         for q, d, n in ((2, 2, 2), (3, 2, 2), (2, 3, 2)):
-            for diag, group in hermite_strata(q, d, n).items():
+            for x, group in families(q, d, n, lex_key):
+                diag = x.levels
                 cells = sum(diag[i - 1] for j in range(1, d + 1) for i in range(j + 1, d + 1))
                 assert len(group) == q**cells
                 assert len(set(group)) == len(group)
@@ -377,14 +372,35 @@ class TestHermite:
             subs = enumerate_submodules(q, d, depth)
             for n in range(depth + 1):
                 brute = {m for m in subs if m.codim == n}
-                matrices = hermite_members(q, d, n, depth=depth)
+                matrices = hermite_members(q, d, depth, n)
                 assert len(set(matrices)) == len(matrices)
                 assert set(matrices) == brute
 
     def test_seat_major_pivot_profile_recovers_the_diagonal(self):
-        for diag, group in hermite_strata(2, 3, 2).items():
+        for x, group in families(2, 3, 2, lex_key):
             for m in group:
-                assert pivot_profile(m, lex_key) == diag
+                assert pivot_profile(m, lex_key) == x.levels
+
+
+# Grids past the reach of the brute scan, where the two stratifications check each other.
+PAST_BRUTE_GRIDS = [(2, 2, 6), (2, 3, 4), (3, 3, 3)]
+
+
+class TestStratificationsAgree:
+    @pytest.mark.parametrize("q,d,n", PAST_BRUTE_GRIDS)
+    def test_lex_and_hlex_families_split_each_colength_class(self, q, d, n):
+        hlex = dict(families(q, d, n, hlex_key))
+        lex = dict(families(q, d, n, lex_key))
+        totals = []
+        for k in range(n + 1):
+            groups = [group for x, group in lex.items() if size(x) == k]
+            covered = set().union(*groups)
+            assert len(covered) == sum(map(len, groups)), k
+            assert covered == set().union(*(g for x, g in hlex.items() if size(x) == k)), k
+            totals.append(len(covered))
+        assert totals == Census.walk(q, d, n).observed()
+        for x, group in lex.items():
+            assert all(pivot_profile(m, lex_key) == x.levels for m in group), x
 
 
 def below_diagonal(diag):
@@ -521,14 +537,15 @@ class TestWalk:
 class TestExactCap:
     def test_walk_counts_its_members(self):
         # 1 + 7 + 35 + 155 submodules of colength at most 3 in (F_2[[T]])^3.
-        with pytest.raises(FeasibilityError, match="cap 197"):
+        with pytest.raises(FeasibilityError, match="submodules to build exceed the cap 197"):
             Census.walk(2, 3, 3, cap=197)
         assert sum(Census.walk(2, 3, 3, cap=198).observed()) == 198
 
     def test_stratum_counts_its_members(self):
-        with pytest.raises(FeasibilityError):
-            enumerate_stratum(Config((0, 2)), 3, cap=8)
-        assert len(enumerate_stratum(Config((0, 2)), 3, cap=9)) == 9
+        # The hlex families of size at most 2 in (F_3[[T]])^2 hold 1 + 4 + 13 members.
+        with pytest.raises(FeasibilityError, match="cap 17"):
+            dict(families(3, 2, 2, hlex_key, cap=17))
+        assert sum(map(len, dict(families(3, 2, 2, hlex_key, cap=18)).values())) == 18
 
     def test_scan_counts_its_candidates(self):
         # Profiles of the depth-2, width-2 window and their free cells, by
@@ -538,17 +555,18 @@ class TestExactCap:
         enumerate_submodules(2, 2, 2, cap=19)
 
     def test_matrices_count_their_members(self):
-        # Diagonals (0,2), (1,1), (2,0) have 2, 1, 0 cells below them.
-        with pytest.raises(FeasibilityError):
-            hermite_strata(2, 2, 2, cap=6)
-        assert sum(len(g) for g in hermite_strata(2, 2, 2, cap=7).values()) == 7
+        # Cells below the diagonal: (0,0) none; (0,1) one, (1,0) none; (0,2),
+        # (1,1), (2,0) two, one, none.  So 1 + (2 + 1) + (4 + 2 + 1) = 11 members.
+        with pytest.raises(FeasibilityError, match="cap 10"):
+            dict(families(2, 2, 2, lex_key, cap=10))
+        assert sum(map(len, dict(families(2, 2, 2, lex_key, cap=11)).values())) == 11
 
     def test_modulus_is_checked_before_the_cap(self):
         for build in (
             lambda: Census.walk(4, 2, 2, cap=0),
             lambda: enumerate_submodules(4, 2, 2, cap=0),
-            lambda: enumerate_stratum(Config((1, 0)), 4, cap=0),
-            lambda: hermite_strata(4, 2, 1, cap=0),
+            lambda: dict(families(4, 2, 1, hlex_key, cap=0)),
+            lambda: dict(families(4, 2, 1, lex_key, cap=0)),
         ):
             with pytest.raises(ValueError, match="prime"):
                 build()

@@ -136,9 +136,10 @@ def check_commutation(profile: Profile) -> CheckResult:
     """Operators of any two ranks commute."""
     checked = 0
     for x in _configs_up_to(profile.commute_d, profile.commute_n):
+        once = {j: shift_from(x, j) for j in range(1, x.d + 1)}
         for j in range(1, x.d + 1):
             for jj in range(j + 1, x.d + 1):
-                if shift_from(shift_from(x, j), jj) != shift_from(shift_from(x, jj), j):
+                if shift_from(once[j], jj) != shift_from(once[jj], j):
                     return False, f"ranks {j},{jj} disagree at {x.levels}"
                 checked += 1
     return True, f"{checked} ordered pairs, d <= {profile.commute_d}, size <= {profile.commute_n}"
@@ -168,9 +169,10 @@ def check_increments(profile: Profile) -> CheckResult:
     """Rank j raises the size by 1 and the weight by j - 1."""
     checked = 0
     for x in _configs_up_to(profile.transitive_d, profile.transitive_n):
+        n, w = size(x), weight(x)
         for j in range(1, x.d + 1):
             y = shift_from(x, j)
-            if size(y) != size(x) + 1 or weight(y) != weight(x) + j - 1:
+            if size(y) != n + 1 or weight(y) != w + j - 1:
                 return False, f"rank {j} at {x.levels}: got ({size(y)}, {weight(y)})"
             checked += 1
     return True, (

@@ -26,6 +26,7 @@ from .series import (
     product_formula,
     recurrence_formula,
     sum_over_configs,
+    word_count,
 )
 from .stats import size, weight
 from .submodules import DEFAULT_CAP, Census, FeasibilityError
@@ -135,6 +136,12 @@ def cmd_orbit(args) -> Findings:
     gens = GeneratorSet(args.d, tuple(MultiIndex(parse_levels(g)) for g in args.gens))
     if args.closed_form:
         p = free_orbit_formula(x0, gens, args.tcut)
+    elif word_count(gens, args.tcut - size(x0), args.cap) > args.cap:
+        # Every orbit element the brute sum builds comes from a generator
+        # combination of total at most tcut - size(x0), so those bound its work.
+        raise FeasibilityError(
+            f"the brute orbit sum would try more than --cap {args.cap} generator combinations"
+        )
     else:
         p = orbit_sum(x0, gens, args.tcut)
     return Findings(
@@ -257,6 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--closed-form",
         action="store_true",
         help="use the product formula; requires independent generators",
+    )
+    p.add_argument(
+        "--cap",
+        type=nonnegative,
+        default=DEFAULT_CAP,
+        help="most generator combinations of total at most tcut - size(x0) the brute sum "
+        "may try; their count is the number of orbit elements for independent generators "
+        "and an upper bound on it for dependent ones; --closed-form ignores the cap",
     )
     p.set_defaults(func=cmd_orbit)
 

@@ -23,9 +23,10 @@ fixed points and keep the same m = d-j+1 seats forever.  Number the points
 of those seats along their own sub-spiral: the point at `level` on the
 seat of rank r among them (r = 0..m-1) has sub-index level*m + r.  One
 application raises every mover's sub-index by one, so k applications raise
-it by k.  `shift_from` therefore costs one sort, O(d log d), whatever k;
-`act` makes at most d such calls and `decompose` reads each exponent off
-as a difference of sub-indices, both O(d^2 log d) whatever the exponents.
+it by k.  `shift_from` therefore costs one sort, O(d log d), whatever k,
+and `act` makes at most d such calls, O(d^2 log d).  `decompose` reads
+each exponent off as a least sub-index, with no sort and no operator call,
+O(d^2).  Both costs hold whatever the exponents.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ import itertools
 from dataclasses import dataclass
 from operator import sub
 from typing import Iterator
-
-
-class InternalInvariantError(RuntimeError):
-    """A bound that only an implementation bug can violate was exceeded."""
 
 
 @dataclass(frozen=True)
@@ -105,14 +102,6 @@ class MultiIndex:
         return MultiIndex(tuple(a + b for a, b in zip(self.steps, other.steps)))
 
 
-def _height_order(levels: tuple[int, ...]) -> list[int]:
-    """0-based seats from the lowest point to the highest.
-
-    The sort is stable, so equal levels keep seat order, as height requires.
-    """
-    return sorted(range(len(levels)), key=levels.__getitem__)
-
-
 def shift_from(x: Config, j: int, k: int = 1) -> Config:
     """The rank-j spiral shifting operator, applied k times.
 
@@ -129,7 +118,9 @@ def shift_from(x: Config, j: int, k: int = 1) -> Config:
     if k < 0:
         raise ValueError(f"applications must be nonnegative, got {k}")
     levels = x.levels
-    seats = sorted(_height_order(levels)[j - 1 :])
+    # Seats from the lowest point up, less the j-1 lowest; the sort is
+    # stable, so equal levels keep seat order, as height requires.
+    seats = sorted(sorted(range(d), key=levels.__getitem__)[j - 1 :])
     m = len(seats)
     out = list(levels)
     for rank, seat in enumerate(seats):
@@ -157,37 +148,26 @@ def act(a: MultiIndex, x: Config) -> Config:
 def decompose(x: Config) -> MultiIndex:
     """The unique exponents a with act(a, origin) == x.
 
-    Recovered rank by rank: only the rank-1 operator moves the lowest point,
-    which forces a_1; once a_1..a_{r-1} are applied, only the rank-r
-    operator moves the r-th lowest point, and it is always the mover of
-    least sub-index.  So a_r is the sub-index of the r-th lowest point of x
-    minus that of the current r-th lowest point, in the current moving
-    group.  That costs O(d^2 log d) whatever the exponents.  A goal outside
-    the moving group's seats, or below its current point, is an
-    implementation defect, not bad input.
+    Peeled off rank by rank, with no operator call.  On the origin, `act`
+    applies ranks d down to 1; when rank r acts, seats 1..r-1 are still at
+    level 0 and hold the r-1 lowest points, so rank r moves exactly the
+    points on seats r..d, along their sub-spiral, and seat r is the mover of
+    least sub-index, 0.  So a_r is the least sub-index of those points in
+    x, and lowering every sub-index by a_r undoes rank r and leaves seat r
+    at level 0.  That costs O(d^2) whatever the exponents.
     """
-    d = x.d
-    goals = _height_order(x.levels)
-    cur = Config.origin(d)
+    rest = x.levels
     steps = []
-    for r in range(1, d + 1):
-        ranked = _height_order(cur.levels)
-        seats = sorted(ranked[r - 1 :])
-        m = len(seats)
-        goal, lowest = goals[r - 1], ranked[r - 1]
-        if goal not in seats:
-            raise InternalInvariantError(
-                f"the rank-{r} point of {x.levels} is on seat {goal + 1}, "
-                f"outside the moving seats {[s + 1 for s in seats]}"
-            )
-        count = (x.levels[goal] - cur.levels[lowest]) * m + seats.index(goal) - seats.index(lowest)
-        if count < 0:
-            raise InternalInvariantError(
-                f"the rank-{r} point of {x.levels} lies below the moving group of {cur.levels}"
-            )
-        if count:
-            cur = shift_from(cur, r, count)
-        steps.append(count)
+    while rest:
+        m = len(rest)
+        subs = [n * m + i for i, n in enumerate(rest)]
+        a = min(subs)
+        undone = [0] * m
+        for s in subs:
+            level, seat = divmod(s - a, m)
+            undone[seat] = level
+        steps.append(a)
+        rest = undone[1:]
     return MultiIndex(tuple(steps))
 
 

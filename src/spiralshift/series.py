@@ -217,6 +217,35 @@ def semigroup_elements(gens: GeneratorSet, max_total: int) -> set[MultiIndex]:
     return seen
 
 
+def word_count(gens: GeneratorSet, max_total: int, limit: int) -> int:
+    """How many coefficient vectors c >= 0 have sum_i c_i * total(g_i) <= max_total.
+
+    Every element of `semigroup_elements(gens, max_total)` is the sum of
+    such a word, so the count bounds their number, exactly when the
+    generators are free.  Counted one generator at a time, largest total
+    first, with the smallest total's share in closed form; counting stops
+    once it passes `limit`.  Each loop step adds at least one word, so the
+    cost is at most about len(gens) * limit steps, whatever max_total.
+    """
+
+    def count(totals: list[int], budget: int, room: int) -> int:
+        first, *rest = totals
+        if not rest:
+            return budget // first + 1
+        found = 0
+        for spent in range(0, budget + 1, first):
+            found += count(rest, budget - spent, room - found)
+            if found > room:
+                break
+        return found
+
+    if max_total < 0:
+        return 0
+    if not gens.generators:
+        return 1
+    return count(sorted((g.total for g in gens.generators), reverse=True), max_total, limit)
+
+
 def orbit_sum(x0: Config, gens: GeneratorSet, t_cut: int) -> BiPoly:
     """Brute-force orbit census from x0 under the generated subsemigroup.
 

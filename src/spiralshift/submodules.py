@@ -47,7 +47,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .cylinder import Config, InternalInvariantError, configs_with_size
+from .cylinder import Config, configs_with_size
 from .series import product_formula
 from .stats import size, weight
 
@@ -56,6 +56,10 @@ DEFAULT_CAP = 2**20
 
 class FeasibilityError(Exception):
     """An enumeration request exceeded the configured work cap."""
+
+
+class InternalInvariantError(RuntimeError):
+    """A bound that only an implementation bug can violate was exceeded."""
 
 
 def is_prime(n: int) -> bool:

@@ -14,7 +14,10 @@ one rank-1 step, `unit` the exponent vector of one rank-j step, and
 `distance` the floored height gap whose sum over pairs of points defines
 the weight.  `compositions` is the head-first recursion and `is_tight` the
 slot-by-slot reading of tightness, the references for the stars-and-bars
-and height-mark versions in `spiralshift.cylinder`.
+and height-mark versions in `spiralshift.cylinder`.  `decompose_by_walk`
+replays the action forward from the origin, rank by rank, with the
+package's closed-form powers, so it reaches exponents of any size; it is
+the reference for the peeling `spiralshift.decompose`.
 
 The census reference scans every reduced echelon form of every pivot set
 and tests T-stability by listing the span, so it shares nothing with
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from spiralshift import Config, MultiIndex, SubmoduleBasis
+from spiralshift import shift_from as shift_power
 
 
 @total_ordering
@@ -173,6 +177,40 @@ def preimages(d: int, n: int) -> dict[Config, list[MultiIndex]]:
         a = MultiIndex(steps)
         found.setdefault(act(a, origin), []).append(a)
     return found
+
+
+def decompose_by_walk(x: Config) -> MultiIndex:
+    """The exponents reaching x from the origin, by replaying the action forward.
+
+    Only the rank-1 operator moves the lowest point, which forces a_1; once
+    a_1..a_{r-1} are applied, only the rank-r operator moves the r-th lowest
+    point, and it is always the mover of least sub-index.  So a_r is the
+    sub-index of the r-th lowest point of x minus that of the current r-th
+    lowest point, in the current moving group, and the walk applies it with
+    the package's closed-form `shift_from` power before the next rank.
+    """
+    goals = sorted_slots(x)
+    cur = Config.origin(x.d)
+    steps = []
+    for r in range(1, x.d + 1):
+        ranked = sorted_slots(cur)
+        seats = sorted(s.seat for s in ranked[r - 1 :])
+        m = len(seats)
+        goal, lowest = goals[r - 1], ranked[r - 1]
+        if goal.seat not in seats:
+            raise AssertionError(
+                f"the rank-{r} point of {x.levels} is on seat {goal.seat}, "
+                f"outside the moving seats {seats}"
+            )
+        count = (goal.level - lowest.level) * m + seats.index(goal.seat) - seats.index(lowest.seat)
+        if count < 0:
+            raise AssertionError(
+                f"the rank-{r} point of {x.levels} lies below the moving group of {cur.levels}"
+            )
+        if count:
+            cur = shift_power(cur, r, count)
+        steps.append(count)
+    return MultiIndex(tuple(steps))
 
 
 def monomial_vector(space, slot: Slot) -> tuple[int, ...]:

@@ -149,6 +149,43 @@ def test_orbit_closed_form_rejects_dependent_generators(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "gens,words",
+    [
+        # Independent: C(3 + 2, 2) = 10 combinations of total at most 4 - 1, one per element.
+        (["1,0", "0,1"], 10),
+        # Dependent: c1 + 2*c2 <= 3 has 6 solutions, but only 4 elements (k, 0) are distinct.
+        (["1,0", "2,0"], 6),
+    ],
+)
+def test_orbit_cap_at_the_exact_work_runs(capsys, gens, words):
+    argv = ["orbit", "--d", "2", "--x0", "1,0", "--gens", *gens, "--tcut", "4", "--cap"]
+    code, out, _ = run(capsys, argv + [str(words)])
+    assert code == 0
+    assert out == run(capsys, argv[:-1])[1]
+    code, out, err = run(capsys, argv + [str(words - 1)])
+    assert code == 4
+    assert out == ""
+    assert f"more than --cap {words - 1} generator combinations" in err
+
+
+def test_orbit_past_the_cap_exits_4_at_once(capsys):
+    # 2,343,926 combinations of total at most 100; refused before any element is built.
+    argv = ["orbit", "--d", "3", "--x0", "0,0,0", "--gens", "1,0,0", "0,1,0", "0,0,1", "1,1,0"]
+    for tcut in (100, 10**12):
+        started = time.perf_counter()
+        code, out, err = run(capsys, argv + ["--tcut", str(tcut)])
+        assert time.perf_counter() - started < 1
+        assert code == 4
+        assert out == ""
+        assert "more than --cap 1048576 generator combinations" in err
+
+
+def test_orbit_cap_leaves_the_closed_form_alone(capsys):
+    argv = ["orbit", "--d", "2", "--x0", "0,0", "--gens", "1,1", "--tcut", "6", "--closed-form"]
+    assert run(capsys, argv + ["--cap", "0"]) == run(capsys, argv)
+
+
 def test_count_table(capsys):
     code, out, _ = run(capsys, ["count", "--q", "2", "--d", "2", "--N", "3"])
     assert code == 0
@@ -203,6 +240,7 @@ def test_count_at_colength_zero(capsys):
         (["count", "--q", "2", "--d", "2", "--N", "2", "--cap", "-1"], "--cap"),
         (["strata", "--q", "2", "--d", "2", "--n", "2", "--cap", "-1"], "--cap"),
         (["series", "--d", "2", "--tcut", "3", "--method", "configs", "--cap", "-1"], "--cap"),
+        (["orbit", "--d", "2", "--x0", "0,0", "--gens", "1,0", "--cap", "-1"], "--cap"),
     ],
 )
 def test_negative_colength_exits_2(capsys, argv, flag):

@@ -5,7 +5,8 @@ level + seat/d computed with fractions; it pins the reference `oracle.Slot`
 order and spiral index, which in turn pin the package's height marks.
 The closed-form operator powers,
 `act` and `decompose` are checked against the seat-by-seat walk in
-`oracle.py` and against a full scan over exponents of the right total.
+`oracle.py` and against a full scan over exponents of the right total;
+`decompose` also against the forward walk `oracle.decompose_by_walk`.
 """
 
 import math
@@ -283,6 +284,16 @@ class TestDecompose:
                 for x, hits in found.items():
                     assert hits == [decompose(x)], x.levels
 
+    def test_matches_forward_walk_exhaustive(self):
+        for d in range(1, 8):
+            for n in range(8):
+                for x in configs_with_size(d, n):
+                    assert decompose(x) == oracle.decompose_by_walk(x), x.levels
+
+    @given(configs(max_d=9, max_level=10**12))
+    def test_matches_forward_walk_at_huge_levels(self, x):
+        assert decompose(x) == oracle.decompose_by_walk(x)
+
     @given(st.lists(st.integers(0, 10**12), min_size=1, max_size=6))
     def test_inverts_act_at_huge_exponents(self, steps):
         a = MultiIndex(tuple(steps))
@@ -344,10 +355,15 @@ def test_decompose_bound_is_an_internal_defect_guard():
     assert issubclass(InternalInvariantError, RuntimeError)
 
 
-def test_decompose_guard_fires_when_the_operator_misbehaves(monkeypatch):
-    monkeypatch.setattr(cylinder, "shift_from", lambda x, j, k=1: x)
-    with pytest.raises(InternalInvariantError):
-        decompose(Config((1, 0)))
+def test_decompose_makes_no_operator_call(monkeypatch):
+    def refuse(x, j, k=1):
+        raise AssertionError("decompose applied an operator")
+
+    x = Config((0, 2, 1, 0, 1))
+    expected = oracle.decompose_by_walk(x)
+    monkeypatch.setattr(cylinder, "shift_from", refuse)
+    assert decompose(x) == expected
+    assert decompose(Config((1000000000, 0))) == MultiIndex((1, 999999999))
 
 
 def test_multiindex_validation():

@@ -1,5 +1,8 @@
 """Truncated bivariate series arithmetic and the census identities."""
 
+import itertools
+import operator
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -20,6 +23,7 @@ from spiralshift import (
     semigroup_elements,
     sum_over_configs,
 )
+from spiralshift.series import word_count
 from oracle import unit
 
 
@@ -186,6 +190,30 @@ class TestOrbits:
         # The brute-force census still works and stays deduplicated.
         got = orbit_sum(Config.origin(2), gens, 4)
         assert got.coeffs == {(k, 0): 1 for k in range(5)}
+
+    def test_word_count_matches_a_scan_of_coefficient_vectors(self):
+        sets = [(), ((1, 0),), ((1, 0), (2, 0)), ((1, 1), (0, 2), (1, 0)), ((2, 1), (1, 2))]
+        for steps in sets:
+            gens = GeneratorSet(2, tuple(MultiIndex(g) for g in steps))
+            totals = [g.total for g in gens.generators]
+            assert word_count(gens, -1, 0) == 0
+            for budget in range(9):
+                scan = sum(
+                    1
+                    for c in itertools.product(*(range(budget // t + 1) for t in totals))
+                    if sum(map(operator.mul, c, totals)) <= budget
+                )
+                assert word_count(gens, budget, scan) == scan, (steps, budget)
+                assert scan >= len(semigroup_elements(gens, budget))
+                # Past the limit the count may stop early, but it reads past the limit.
+                assert scan - 1 < word_count(gens, budget, scan - 1) <= scan
+
+    def test_word_count_is_the_element_count_for_free_generators(self):
+        standard = GeneratorSet(3, tuple(unit(j, 3) for j in range(1, 4)))
+        assert word_count(standard, 60, 2**20) == len(semigroup_elements(standard, 60)) == 39711
+        dependent = GeneratorSet(3, standard.generators + (MultiIndex((1, 1, 0)),))
+        assert word_count(dependent, 60, 2**20) == 327856
+        assert word_count(dependent, 100, 10**7) == 2343926
 
     def test_semigroup_elements_bounded_and_closed(self):
         gens = GeneratorSet(3, (MultiIndex((1, 1, 0)), MultiIndex((0, 0, 2))))

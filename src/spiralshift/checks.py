@@ -201,7 +201,7 @@ def check_series_three_way(profile: Profile) -> CheckResult:
             rec = recurrence_formula(d, t_cut)
             if brute != prod or prod != rec:
                 return False, f"mismatch at d={d}, t_cut={t_cut}"
-        top = product_formula(d, profile.series_t)
+        top = prod  # the loop's last t_cut is series_t
         for n in range(profile.series_t + 1):
             for w, count in enumerate(gaussian_counts(n, d)):
                 if top.coefficient(n, w) != count:

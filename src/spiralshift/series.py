@@ -1,21 +1,26 @@
 """Exact truncated bivariate series and the generating-function identities.
 
 Series live in Z[[t, q]] truncated by t-degree: t tracks the size of a
-configuration, q its weight.  The size/weight census over all of N^d equals
-a product of geometric series; the same series is computed three independent
-ways (closed product, brute-force enumeration, one-seat-at-a-time
-recurrence).  Orbit sums under a finitely generated subsemigroup of the
-operator exponents are enumerated by brute force, and compared against a
-closed product formula whenever the generators are rationally independent.
+configuration, q its weight.  Every series here is built from two
+primitives.  `BiPoly.geometric` is the closed-form factor
+1/(1 - t^a q^b); a product of such factors after a start monomial gives
+the census of N^d, prod_{i<d} 1/(1 - t q^i), and the orbit of x0 under
+free generators, t^size(x0) q^W(x0) prod_g 1/(1 - t^|g| q^(content of g)).
+`_census` is the brute side: one term t^size q^W per configuration, over
+all of N^d or over an orbit.  The census of N^d is computed three
+independent ways (closed product, brute-force enumeration,
+one-seat-at-a-time recurrence); the brute orbit sum is compared against the
+closed product whenever the generators are rationally independent.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cylinder import Config, MultiIndex, act, configs_with_size
-from .stats import content, multiindex_content, size, weight
+from .stats import content, multiindex_content, size
 
 
 class NotFreeError(ValueError):
@@ -52,22 +57,19 @@ class BiPoly:
         return cls(t_cut, {(0, 0): 1})
 
     @classmethod
-    def monomial(cls, t_cut: int, t_deg: int, q_deg: int, coeff: int = 1) -> "BiPoly":
-        return cls(t_cut, {(t_deg, q_deg): coeff})
+    def monomial(cls, t_cut: int, t_deg: int, q_deg: int) -> "BiPoly":
+        return cls(t_cut, {(t_deg, q_deg): 1})
 
-    def _check_compatible(self, other: "BiPoly") -> None:
-        if self.t_cut != other.t_cut:
-            raise ValueError(f"truncation mismatch: {self.t_cut} vs {other.t_cut}")
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
-        return BiPoly(self.t_cut, out)
+    @classmethod
+    def geometric(cls, t_cut: int, t_deg: int, q_deg: int) -> "BiPoly":
+        """Expansion of 1/(1 - t^t_deg q^q_deg): coefficient 1 at each (k*t_deg, k*q_deg)."""
+        if t_deg < 1:
+            raise ValueError(f"a geometric factor needs a positive t-degree, got {t_deg}")
+        return cls(t_cut, {(k * t_deg, k * q_deg): 1 for k in range(t_cut // t_deg + 1)})
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
-        self._check_compatible(other)
+        if self.t_cut != other.t_cut:
+            raise ValueError(f"truncation mismatch: {self.t_cut} vs {other.t_cut}")
         out: dict = {}
         for (ta, qa), ca in self.coeffs.items():
             for (tb, qb), cb in other.coeffs.items():
@@ -94,48 +96,32 @@ class BiPoly:
             out[td] = out.get(td, 0) + c * q_value**qd
         return out
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+
+def _geometric_product(t_cut: int, start: tuple[int, int], factors) -> BiPoly:
+    """t^a q^b for start = (a, b), times 1/(1 - t^c q^e) for each (c, e) in factors."""
+    out = BiPoly.monomial(t_cut, *start)
+    for t_deg, q_deg in factors:
+        out = out * BiPoly.geometric(t_cut, t_deg, q_deg)
+    return out
 
 
-def geometric_inverse(p: BiPoly) -> BiPoly:
-    """Expansion of 1/(1 - p) as 1 + p + p^2 + ... up to the t truncation.
-
-    Every term of p must carry a positive t-degree, otherwise the expansion
-    would not terminate degree by degree.
-    """
-    if any(td == 0 for td, _ in p.coeffs):
-        raise ValueError("geometric inverse needs every term to have positive t-degree")
-    result = BiPoly.one(p.t_cut)
-    power = BiPoly.one(p.t_cut)
-    for _ in range(p.t_cut):
-        power = power * p
-        if power.is_zero():
-            break
-        result = result + power
-    return result
+def _census(t_cut: int, configs) -> BiPoly:
+    """One term t^size q^weight per configuration."""
+    return BiPoly(t_cut, Counter(content(x) for x in configs))
 
 
 def product_formula(d: int, t_cut: int) -> BiPoly:
     """Truncation of the product of geometric series 1/(1 - t q^i) for i < d."""
     if d < 1:
         raise ValueError("width d must be positive")
-    out = BiPoly.one(t_cut)
-    for i in range(d):
-        out = out * geometric_inverse(BiPoly.monomial(t_cut, 1, i))
-    return out
+    return _geometric_product(t_cut, (0, 0), ((1, i) for i in range(d)))
 
 
 def sum_over_configs(d: int, t_cut: int) -> BiPoly:
     """Brute-force census: one term t^size q^weight per configuration."""
     if d < 1:
         raise ValueError("width d must be positive")
-    total: dict = {}
-    for n in range(t_cut + 1):
-        for x in configs_with_size(d, n):
-            key = (n, weight(x))
-            total[key] = total.get(key, 0) + 1
-    return BiPoly(t_cut, total)
+    return _census(t_cut, (x for n in range(t_cut + 1) for x in configs_with_size(d, n)))
 
 
 def recurrence_formula(d: int, t_cut: int) -> BiPoly:
@@ -146,7 +132,7 @@ def recurrence_formula(d: int, t_cut: int) -> BiPoly:
     """
     if d < 1:
         raise ValueError("width d must be positive")
-    inv = geometric_inverse(BiPoly.monomial(t_cut, 1, 0))
+    inv = BiPoly.geometric(t_cut, 1, 0)
     out = BiPoly.one(t_cut)
     for _ in range(d):
         out = inv * out.substitute_t_times_q()
@@ -252,18 +238,12 @@ def orbit_sum(x0: Config, gens: GeneratorSet, t_cut: int) -> BiPoly:
     Applies every reachable exponent to x0, deduplicates the resulting
     configurations, and records t^size q^weight of each.  Each operator
     application raises the size by exactly one, so exponents with total
-    beyond t_cut - size(x0) cannot contribute a retained term.
+    beyond t_cut - size(x0) cannot contribute a retained term.  When x0
+    itself is past t_cut, only x0 is built, and the truncation drops it.
     """
     if gens.d != x0.d:
         raise ValueError("dimension mismatch between generators and base configuration")
-    total: dict = {}
-    budget = t_cut - size(x0)
-    if budget >= 0:
-        orbit = {act(a, x0) for a in semigroup_elements(gens, budget)}
-        for y in orbit:
-            key = tuple(content(y))
-            total[key] = total.get(key, 0) + 1
-    return BiPoly(t_cut, total)
+    return _census(t_cut, {act(a, x0) for a in semigroup_elements(gens, t_cut - size(x0))})
 
 
 def free_orbit_formula(x0: Config, gens: GeneratorSet, t_cut: int) -> BiPoly:
@@ -276,9 +256,6 @@ def free_orbit_formula(x0: Config, gens: GeneratorSet, t_cut: int) -> BiPoly:
         raise ValueError("dimension mismatch between generators and base configuration")
     if not is_free_basis(gens):
         raise NotFreeError("generators are rationally dependent; no closed product form")
-    n0, w0 = content(x0)
-    out = BiPoly.monomial(t_cut, n0, w0)
-    for g in gens.generators:
-        tg, qg = multiindex_content(g)
-        out = out * geometric_inverse(BiPoly.monomial(t_cut, tg, qg))
-    return out
+    return _geometric_product(
+        t_cut, content(x0), (multiindex_content(g) for g in gens.generators)
+    )

@@ -19,6 +19,10 @@ replays the action forward from the origin, rank by rank, with the
 package's closed-form powers, so it reaches exponents of any size; it is
 the reference for the peeling `spiralshift.decompose`.
 
+`geometric_inverse` expands 1/(1 - p) for any p without a constant term by
+summing the powers of p, the reference for the closed-form geometric
+factor `BiPoly.geometric`.
+
 The census reference scans every reduced echelon form of every pivot set
 and tests T-stability by listing the span, so it shares nothing with
 `enumerate_submodules` but the basis value type `SubmoduleBasis`.
@@ -32,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 from functools import total_ordering
 
-from spiralshift import Config, MultiIndex, SubmoduleBasis
+from spiralshift import BiPoly, Config, MultiIndex, SubmoduleBasis
 from spiralshift import shift_from as shift_power
 
 
@@ -211,6 +215,25 @@ def decompose_by_walk(x: Config) -> MultiIndex:
             cur = shift_power(cur, r, count)
         steps.append(count)
     return MultiIndex(tuple(steps))
+
+
+def geometric_inverse(p: BiPoly) -> BiPoly:
+    """Expansion of 1/(1 - p) as 1 + p + p^2 + ... up to the t truncation.
+
+    Every term of p must carry a positive t-degree, otherwise the expansion
+    would not terminate degree by degree.
+    """
+    if any(td == 0 for td, _ in p.coeffs):
+        raise ValueError("geometric inverse needs every term to have positive t-degree")
+    total = {(0, 0): 1}
+    power = BiPoly.one(p.t_cut)
+    for _ in range(p.t_cut):
+        power = power * p
+        if not power.coeffs:
+            break
+        for key, c in power.coeffs.items():
+            total[key] = total.get(key, 0) + c
+    return BiPoly(p.t_cut, total)
 
 
 def monomial_vector(space, slot: Slot) -> tuple[int, ...]:

@@ -140,6 +140,46 @@ def test_orbit_closed_form(capsys):
     assert out.splitlines() == ["(0,0): 1", "(2,1): 1", "(4,2): 1", "(6,3): 1"]
 
 
+@pytest.mark.parametrize("closed_form", [False, True])
+def test_orbit_free_generators_full_output(capsys, closed_form):
+    # x0 has content (3, 3); the generators add (1, 0) and (3, 4) per step.
+    argv = ["orbit", "--d", "3", "--x0", "1,0,2", "--gens", "1,0,0", "0,2,1", "--tcut", "9"]
+    argv += ["--closed-form"] * closed_form
+    coeffs = [
+        [3, 3, 1],
+        [4, 3, 1],
+        [5, 3, 1],
+        [6, 3, 1],
+        [6, 7, 1],
+        [7, 3, 1],
+        [7, 7, 1],
+        [8, 3, 1],
+        [8, 7, 1],
+        [9, 3, 1],
+        [9, 7, 1],
+        [9, 11, 1],
+    ]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == "".join(f"({n},{w}): {c}\n" for n, w, c in coeffs)
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 0
+    record = {
+        "schema": "spiralshift.output/1",
+        "command": "orbit",
+        "inputs": {
+            "d": 3,
+            "x0": [1, 0, 2],
+            "gens": [[1, 0, 0], [0, 2, 1]],
+            "tcut": 9,
+            "closed_form": closed_form,
+        },
+        "result": {"t_cut": 9, "coeffs": coeffs},
+        "elapsed_s": json.loads(out)["elapsed_s"],
+    }
+    assert out == json.dumps(record, indent=2) + "\n"
+
+
 def test_orbit_closed_form_rejects_dependent_generators(capsys):
     code, _, err = run(
         capsys,

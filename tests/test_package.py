@@ -37,7 +37,6 @@ EXPORTED = [
     "free_orbit_formula",
     "gaussian_count",
     "gaussian_counts",
-    "geometric_inverse",
     "hlex_key",
     "is_free_basis",
     "is_tight",

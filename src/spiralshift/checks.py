@@ -24,6 +24,7 @@ from .cylinder import (
 )
 from .partitions import box_partitions, gaussian_counts, partition_to_config
 from .series import (
+    BiPoly,
     GeneratorSet,
     free_orbit_formula,
     is_free_basis,
@@ -38,42 +39,33 @@ from .submodules import Census, brute_strata, families, hlex_key, lex_key
 
 @dataclass(frozen=True)
 class Profile:
-    commute_d: int
+    operator_d: int  # widest configuration of the operator and bijection laws
     commute_n: int
-    transitive_d: int
     transitive_n: int
     series_d: int
     series_t: int
-    bijection_d: int
-    bijection_n: int
     module_grid: tuple[tuple[int, int, int], ...]  # (q, d, depth)
     orbit_trials: int
     orbit_t: int
 
 
 QUICK = Profile(
-    commute_d=3,
+    operator_d=3,
     commute_n=3,
-    transitive_d=3,
     transitive_n=4,
     series_d=3,
     series_t=5,
-    bijection_d=3,
-    bijection_n=4,
     module_grid=((2, 2, 2),),
     orbit_trials=10,
     orbit_t=6,
 )
 
 FULL = Profile(
-    commute_d=4,
+    operator_d=4,
     commute_n=5,
-    transitive_d=4,
     transitive_n=6,
     series_d=5,
     series_t=8,
-    bijection_d=4,
-    bijection_n=6,
     module_grid=((2, 2, 3), (2, 3, 2), (3, 2, 2)),
     orbit_trials=50,
     orbit_t=8,
@@ -135,20 +127,20 @@ def check_worked_example(profile: Profile) -> CheckResult:
 def check_commutation(profile: Profile) -> CheckResult:
     """Operators of any two ranks commute."""
     checked = 0
-    for x in _configs_up_to(profile.commute_d, profile.commute_n):
+    for x in _configs_up_to(profile.operator_d, profile.commute_n):
         once = {j: shift_from(x, j) for j in range(1, x.d + 1)}
         for j in range(1, x.d + 1):
             for jj in range(j + 1, x.d + 1):
                 if shift_from(once[j], jj) != shift_from(once[jj], j):
                     return False, f"ranks {j},{jj} disagree at {x.levels}"
                 checked += 1
-    return True, f"{checked} ordered pairs, d <= {profile.commute_d}, size <= {profile.commute_n}"
+    return True, f"{checked} ordered pairs, d <= {profile.operator_d}, size <= {profile.commute_n}"
 
 
 @_law("free transitive action")
 def check_free_transitive(profile: Profile) -> CheckResult:
     """The exponent map at the origin is bijective and decompose inverts it."""
-    for d in range(1, profile.transitive_d + 1):
+    for d in range(1, profile.operator_d + 1):
         origin = Config.origin(d)
         for n in range(profile.transitive_n + 1):
             exponents = [MultiIndex(s) for s in compositions(n, d)]
@@ -160,7 +152,7 @@ def check_free_transitive(profile: Profile) -> CheckResult:
                 if decompose(image) != a:
                     return False, f"decompose({image.levels}) != {a.steps}"
     return True, (
-        f"bijective with inverse, d <= {profile.transitive_d}, size <= {profile.transitive_n}"
+        f"bijective with inverse, d <= {profile.operator_d}, size <= {profile.transitive_n}"
     )
 
 
@@ -168,7 +160,7 @@ def check_free_transitive(profile: Profile) -> CheckResult:
 def check_increments(profile: Profile) -> CheckResult:
     """Rank j raises the size by 1 and the weight by j - 1."""
     checked = 0
-    for x in _configs_up_to(profile.transitive_d, profile.transitive_n):
+    for x in _configs_up_to(profile.operator_d, profile.transitive_n):
         n, w = size(x), weight(x)
         for j in range(1, x.d + 1):
             y = shift_from(x, j)
@@ -176,7 +168,7 @@ def check_increments(profile: Profile) -> CheckResult:
                 return False, f"rank {j} at {x.levels}: got ({size(y)}, {weight(y)})"
             checked += 1
     return True, (
-        f"{checked} applications, d <= {profile.transitive_d}, size <= {profile.transitive_n}"
+        f"{checked} applications, d <= {profile.operator_d}, size <= {profile.transitive_n}"
     )
 
 
@@ -184,7 +176,7 @@ def check_increments(profile: Profile) -> CheckResult:
 def check_weight_equivalence(profile: Profile) -> CheckResult:
     """The pairwise-distance weight equals the seat-pair double sum."""
     checked = 0
-    for x in _configs_up_to(profile.transitive_d, profile.transitive_n):
+    for x in _configs_up_to(profile.operator_d, profile.transitive_n):
         if weight(x) != weight_by_seats(x):
             return False, f"{x.levels}: {weight(x)} vs {weight_by_seats(x)}"
         checked += 1
@@ -195,8 +187,9 @@ def check_weight_equivalence(profile: Profile) -> CheckResult:
 def check_series_three_way(profile: Profile) -> CheckResult:
     """Product, brute-force and recurrence series agree; coefficients count box partitions."""
     for d in range(1, profile.series_d + 1):
+        whole = sum_over_configs(d, profile.series_t)
         for t_cut in range(profile.series_t + 1):
-            brute = sum_over_configs(d, t_cut)
+            brute = BiPoly(t_cut, whole.coeffs)
             prod = product_formula(d, t_cut)
             rec = recurrence_formula(d, t_cut)
             if brute != prod or prod != rec:
@@ -212,8 +205,8 @@ def check_series_three_way(profile: Profile) -> CheckResult:
 @_law("box partition bijection")
 def check_partition_bijection(profile: Profile) -> CheckResult:
     """Box partitions biject onto configurations of the given size and weight."""
-    for d in range(1, profile.bijection_d + 1):
-        for n in range(profile.bijection_n + 1):
+    for d in range(1, profile.operator_d + 1):
+        for n in range(profile.transitive_n + 1):
             by_weight: dict[int, set[Config]] = {}
             for x in configs_with_size(d, n):
                 by_weight.setdefault(weight(x), set()).add(x)
@@ -223,7 +216,7 @@ def check_partition_bijection(profile: Profile) -> CheckResult:
                 images = [partition_to_config(lam, n, d) for lam in source]
                 if len(set(images)) != len(images) or set(images) != by_weight.get(w, set()):
                     return False, f"not a bijection at d={d}, n={n}, w={w}"
-    return True, f"d <= {profile.bijection_d}, size <= {profile.bijection_n}, every weight"
+    return True, f"d <= {profile.operator_d}, size <= {profile.transitive_n}, every weight"
 
 
 @_law("submodule counts by colength")
@@ -311,7 +304,7 @@ def check_free_orbits(profile: Profile) -> CheckResult:
 def check_tightness(profile: Profile) -> CheckResult:
     """Low-rank operators preserve r-tightness."""
     checked = 0
-    for x in _configs_up_to(profile.transitive_d, profile.transitive_n):
+    for x in _configs_up_to(profile.operator_d, profile.transitive_n):
         for r in range(2, x.d + 1):
             if not is_tight(x, r):
                 continue
@@ -326,7 +319,7 @@ def check_tightness(profile: Profile) -> CheckResult:
 def check_content_multiplicativity(profile: Profile) -> CheckResult:
     """Acting adds the exponent content to the configuration content."""
     checked = 0
-    for d in range(1, profile.commute_d + 1):
+    for d in range(1, profile.operator_d + 1):
         for x in configs_with_size(d, min(2, profile.commute_n)):
             for steps in compositions(2, d):
                 a = MultiIndex(steps)

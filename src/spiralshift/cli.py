@@ -1,16 +1,16 @@
 """Command-line surface: operators, statistics, series, censuses, verification.
 
 Each command returns what it found; `main` times it and emits the table or
-the `--json` record.  Exit codes: 0 success, 2 malformed input or an
-unwritable --out, 3 precondition violation, 4 feasibility cap exceeded,
-5 verification failure.
+the `--json` record.  The exhaustive commands pass `--cap` to the library,
+which counts their work and refuses past it.  Exit codes: 0 success,
+2 malformed input or an unwritable --out, 3 precondition violation,
+4 feasibility cap exceeded, 5 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from typing import NamedTuple
@@ -18,7 +18,9 @@ from typing import NamedTuple
 from .checks import FULL, QUICK, run_profile
 from .cylinder import Config, MultiIndex, decompose, shift_from
 from .series import (
+    DEFAULT_CAP,
     BiPoly,
+    FeasibilityError,
     GeneratorSet,
     NotFreeError,
     free_orbit_formula,
@@ -26,10 +28,9 @@ from .series import (
     product_formula,
     recurrence_formula,
     sum_over_configs,
-    word_count,
 )
 from .stats import size, weight
-from .submodules import DEFAULT_CAP, Census, FeasibilityError
+from .submodules import Census
 
 SCHEMA = "spiralshift.output/1"
 
@@ -112,15 +113,9 @@ def cmd_stats(args) -> Findings:
 
 
 def cmd_series(args) -> Findings:
-    if args.method == "configs" and args.d >= 1 and args.tcut >= 0:
-        # The enumeration visits every configuration of size at most tcut,
-        # C(tcut + d, d) of them; a bad width or cut is left to its own error.
-        work = math.comb(args.tcut + args.d, args.d)
-        if work > args.cap:
-            raise FeasibilityError(f"{work} configurations exceed the cap {args.cap}")
     methods = {
         "product": product_formula,
-        "configs": sum_over_configs,
+        "configs": lambda d, t_cut: sum_over_configs(d, t_cut, args.cap),
         "recurrence": recurrence_formula,
     }
     p = methods[args.method](args.d, args.tcut)
@@ -136,14 +131,8 @@ def cmd_orbit(args) -> Findings:
     gens = GeneratorSet(args.d, tuple(MultiIndex(parse_levels(g)) for g in args.gens))
     if args.closed_form:
         p = free_orbit_formula(x0, gens, args.tcut)
-    elif word_count(gens, args.tcut - size(x0), args.cap) > args.cap:
-        # Every orbit element the brute sum builds comes from a generator
-        # combination of total at most tcut - size(x0), so those bound its work.
-        raise FeasibilityError(
-            f"the brute orbit sum would try more than --cap {args.cap} generator combinations"
-        )
     else:
-        p = orbit_sum(x0, gens, args.tcut)
+        p = orbit_sum(x0, gens, args.tcut, args.cap)
     return Findings(
         {
             "d": args.d,
@@ -221,6 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument(
+        "--cap",
+        type=nonnegative,
+        default=DEFAULT_CAP,
+        help="most configurations, generator combinations or submodules the exhaustive "
+        "enumeration may visit, counted before it starts; the closed forms ignore it",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("apply", parents=[common], help="apply one shifting operator")
@@ -239,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("series", parents=[common], help="the size/weight census series")
+    p = sub.add_parser("series", parents=[common, capped], help="the size/weight census series")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--tcut", type=int, required=True)
     p.add_argument(
@@ -247,15 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("product", "configs", "recurrence"),
         default="product",
     )
-    p.add_argument(
-        "--cap",
-        type=nonnegative,
-        default=DEFAULT_CAP,
-        help="most configurations --method configs may enumerate",
-    )
     p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser("orbit", parents=[common], help="orbit census under chosen generators")
+    p = sub.add_parser(
+        "orbit", parents=[common, capped], help="orbit census under chosen generators"
+    )
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--x0", required=True)
     p.add_argument("--gens", nargs="+", required=True, help="comma-separated exponent tuples")
@@ -265,28 +258,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the product formula; requires independent generators",
     )
-    p.add_argument(
-        "--cap",
-        type=nonnegative,
-        default=DEFAULT_CAP,
-        help="most generator combinations of total at most tcut - size(x0) the brute sum "
-        "may try; their count is the number of orbit elements for independent generators "
-        "and an upper bound on it for dependent ones; --closed-form ignores the cap",
-    )
     p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("count", parents=[common], help="submodule totals by colength")
+    p = sub.add_parser("count", parents=[common, capped], help="submodule totals by colength")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--N", type=nonnegative, required=True)
-    p.add_argument("--cap", type=nonnegative, default=DEFAULT_CAP)
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("strata", parents=[common], help="stratum table at one colength")
+    p = sub.add_parser("strata", parents=[common, capped], help="stratum table at one colength")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=nonnegative, required=True)
-    p.add_argument("--cap", type=nonnegative, default=DEFAULT_CAP)
     p.set_defaults(func=cmd_strata)
 
     p = sub.add_parser("verify", parents=[common], help="run the verification suite")

@@ -11,16 +11,26 @@ all of N^d or over an orbit.  The census of N^d is computed three
 independent ways (closed product, brute-force enumeration,
 one-seat-at-a-time recurrence); the brute orbit sum is compared against the
 closed product whenever the generators are rationally independent.
+Both brute sums count their work before they start and raise
+`FeasibilityError` past `cap`; the census enumerators in `submodules`
+share the cap and the error.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cylinder import Config, MultiIndex, act, configs_with_size
 from .stats import content, multiindex_content, size
+
+DEFAULT_CAP = 2**20
+
+
+class FeasibilityError(Exception):
+    """An enumeration request exceeded the configured work cap."""
 
 
 class NotFreeError(ValueError):
@@ -117,10 +127,18 @@ def product_formula(d: int, t_cut: int) -> BiPoly:
     return _geometric_product(t_cut, (0, 0), ((1, i) for i in range(d)))
 
 
-def sum_over_configs(d: int, t_cut: int) -> BiPoly:
-    """Brute-force census: one term t^size q^weight per configuration."""
+def sum_over_configs(d: int, t_cut: int, cap: int = DEFAULT_CAP) -> BiPoly:
+    """Brute-force census: one term t^size q^weight per configuration.
+
+    Refuses when the C(t_cut + d, d) configurations of size <= t_cut pass `cap`.
+    """
     if d < 1:
         raise ValueError("width d must be positive")
+    if t_cut < 0:
+        raise ValueError("t_cut must be nonnegative")
+    work = math.comb(t_cut + d, d)
+    if work > cap:
+        raise FeasibilityError(f"{work} configurations exceed the cap {cap}")
     return _census(t_cut, (x for n in range(t_cut + 1) for x in configs_with_size(d, n)))
 
 
@@ -232,7 +250,7 @@ def word_count(gens: GeneratorSet, max_total: int, limit: int) -> int:
     return count(sorted((g.total for g in gens.generators), reverse=True), max_total, limit)
 
 
-def orbit_sum(x0: Config, gens: GeneratorSet, t_cut: int) -> BiPoly:
+def orbit_sum(x0: Config, gens: GeneratorSet, t_cut: int, cap: int = DEFAULT_CAP) -> BiPoly:
     """Brute-force orbit census from x0 under the generated subsemigroup.
 
     Applies every reachable exponent to x0, deduplicates the resulting
@@ -240,10 +258,16 @@ def orbit_sum(x0: Config, gens: GeneratorSet, t_cut: int) -> BiPoly:
     application raises the size by exactly one, so exponents with total
     beyond t_cut - size(x0) cannot contribute a retained term.  When x0
     itself is past t_cut, only x0 is built, and the truncation drops it.
+    Refuses before building any when those exponents' combinations pass `cap`.
     """
     if gens.d != x0.d:
         raise ValueError("dimension mismatch between generators and base configuration")
-    return _census(t_cut, {act(a, x0) for a in semigroup_elements(gens, t_cut - size(x0))})
+    budget = t_cut - size(x0)
+    if word_count(gens, budget, cap) > cap:
+        raise FeasibilityError(
+            f"the brute orbit sum would try more than --cap {cap} generator combinations"
+        )
+    return _census(t_cut, {act(a, x0) for a in semigroup_elements(gens, budget)})
 
 
 def free_orbit_formula(x0: Config, gens: GeneratorSet, t_cut: int) -> BiPoly:

@@ -48,14 +48,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .cylinder import Config, configs_with_size
-from .series import product_formula
+from .series import DEFAULT_CAP, FeasibilityError, product_formula
 from .stats import size, weight
-
-DEFAULT_CAP = 2**20
-
-
-class FeasibilityError(Exception):
-    """An enumeration request exceeded the configured work cap."""
 
 
 class InternalInvariantError(RuntimeError):

@@ -292,6 +292,29 @@ def test_negative_colength_exits_2(capsys, argv, flag):
     assert f"argument {flag}: must be nonnegative" in captured.err
 
 
+CONFIGS = ["series", "--method", "configs"]
+ORBIT = ["orbit", "--d", "2", "--gens", "1,0", "--cap", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        # A bad width or cut gets its own error, whatever the cap.
+        (CONFIGS + ["--d", "0", "--tcut", "3"], "width d must be positive"),
+        (CONFIGS + ["--d", "0", "--tcut", "3", "--cap", "0"], "width d must be positive"),
+        (CONFIGS + ["--d", "3", "--tcut", "-1"], "t_cut must be nonnegative"),
+        (CONFIGS + ["--d", "3", "--tcut", "-1", "--cap", "0"], "t_cut must be nonnegative"),
+        (CONFIGS + ["--d", "3", "--tcut", "-5", "--cap", "0"], "t_cut must be nonnegative"),
+        (ORBIT + ["--x0", "0,0", "--tcut", "-1"], "t_cut must be nonnegative"),
+        # A base past the cut tries no generator combination, so it runs at cap 0.
+        (ORBIT + ["--x0", "5,5", "--tcut", "3"], None),
+    ],
+)
+def test_cap_edge_cases(capsys, argv, err):
+    expected = (2, "", f"error: {err}\n") if err else (0, "\n", "")
+    assert run(capsys, argv) == expected
+
+
 def test_cap_exceeded_exits_4(capsys):
     # The walk at (2, 3, 3) generates exactly 198 submodules.
     code, _, err = run(

@@ -125,3 +125,37 @@ def test_package_imports_only_the_standard_library():
                 if top not in sys.stdlib_module_names and top != "spiralshift":
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def sibling_imports(path: Path) -> set[str]:
+    """The package modules that the module at `path` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("spiralshift."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("spiralshift.")
+            )
+    return found
+
+
+def test_modules_import_only_the_layers_below():
+    # The layers, lowest first: cylinder; stats and partitions; series;
+    # submodules; checks; cli.  The work cap and its error live in `series`
+    # because `submodules` imports `series` and not the other way round.
+    package = Path(spiralshift.__file__).parent
+    imports = {path.stem: sibling_imports(path) for path in package.glob("*.py")}
+    assert imports["cylinder"] == set()
+    assert imports["stats"] <= {"cylinder"}
+    assert imports["partitions"] <= {"cylinder"}
+    assert not imports["series"] & {"submodules", "checks", "cli"}
+    assert not imports["submodules"] & {"checks", "cli"}
+    assert "cli" not in imports["checks"]

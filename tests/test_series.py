@@ -2,6 +2,7 @@
 
 import itertools
 import operator
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ import hypothesis.strategies as st
 from spiralshift import (
     BiPoly,
     Config,
+    FeasibilityError,
     GeneratorSet,
     MultiIndex,
     NotFreeError,
@@ -235,3 +237,49 @@ class TestOrbits:
             MultiIndex((i, i, 2 * j)) for i in range(7) for j in range(4) if 2 * i + 2 * j <= 6
         }
         assert elements == expected
+
+
+class TestBruteSumsRefuse:
+    """The brute sums count their work and refuse past `cap` when called from the library."""
+
+    def test_configs_past_the_default_cap_refuse_at_once(self):
+        started = time.perf_counter()
+        with pytest.raises(
+            FeasibilityError, match="^377348994 configurations exceed the cap 1048576$"
+        ):
+            sum_over_configs(8, 40)
+        assert time.perf_counter() - started < 1
+
+    def test_orbit_past_the_default_cap_refuses_at_once(self):
+        # 2,343,926 combinations of total at most 100.
+        steps = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0))
+        gens = GeneratorSet(3, tuple(MultiIndex(g) for g in steps))
+        started = time.perf_counter()
+        with pytest.raises(
+            FeasibilityError,
+            match="^the brute orbit sum would try more than --cap 1048576 generator combinations$",
+        ):
+            orbit_sum(Config.origin(3), gens, 100)
+        assert time.perf_counter() - started < 1
+
+    def test_configs_cap_at_the_exact_work_runs(self):
+        # C(4 + 3, 3) = 35 configurations of size at most 4.
+        assert sum_over_configs(3, 4, cap=35) == product_formula(3, 4)
+        with pytest.raises(FeasibilityError, match="^35 configurations exceed the cap 34$"):
+            sum_over_configs(3, 4, cap=34)
+
+    @pytest.mark.parametrize(
+        "steps,words",
+        [
+            # Independent: C(3 + 2, 2) = 10 combinations of total at most 4 - 1.
+            (((1, 0), (0, 1)), 10),
+            # Dependent: c1 + 2*c2 <= 3 has 6 solutions.
+            (((1, 0), (2, 0)), 6),
+        ],
+    )
+    def test_orbit_cap_at_the_exact_work_runs(self, steps, words):
+        x0 = Config((1, 0))
+        gens = GeneratorSet(2, tuple(MultiIndex(g) for g in steps))
+        assert orbit_sum(x0, gens, 4, cap=words) == orbit_sum(x0, gens, 4)
+        with pytest.raises(FeasibilityError, match=f"more than --cap {words - 1} generator"):
+            orbit_sum(x0, gens, 4, cap=words - 1)

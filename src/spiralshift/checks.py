@@ -253,7 +253,8 @@ def check_stratum_law(profile: Profile) -> CheckResult:
             if len(covered) != sum(map(len, groups)) or covered != colength_class:
                 return False, f"matrix enumeration disagrees at q={q}, d={d}, colength {n}"
         if unlabelled:
-            return False, f"unlabelled submodules at q={q}, d={d}, profiles {list(unlabelled)}"
+            profiles = [x.levels for x in unlabelled]
+            return False, f"unlabelled submodules at q={q}, d={d}, profiles {profiles}"
     return True, _grids(profile)
 
 

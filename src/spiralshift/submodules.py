@@ -28,8 +28,9 @@ coefficient 1, so the canonical basis is one back-substitution; under
 echelonized.  Every elimination step, in both, is one `_reduce`.
 
 `families(q, d, n, key)` is the one capped path to the families: it
-validates q and d, sums the members of every family of size at most n
-against `cap`, and only then yields them one profile at a time.
+builds the one window of depth n, which validates q, d and n, sums the
+members of the families profile by profile against `cap`, stopping past
+it, and only then yields them one profile at a time.
 `Census.walk` checks each hlex stratum's members as they come, from their
 rows alone: reduced echelon form, T-stability, colength, leading module
 and no repeats.  It keeps only the stratum sizes; the colength totals and
@@ -42,7 +43,6 @@ starts and refuses past `cap`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -90,7 +90,7 @@ class ModuleSpace:
 
     Vectors are tuples of length d*depth; the coefficient of T^a u_i sits at
     flat position a*d + (i-1), so flat order is the height order.  The
-    modulus q must be a prime below 2**64.
+    modulus q must be a prime below 2**64.  Depth 0 is the zero space.
     """
 
     q: int
@@ -104,8 +104,8 @@ class ModuleSpace:
             raise ValueError(f"modulus must be prime, got {self.q}")
         if self.d < 1:
             raise ValueError("width d must be positive")
-        if self.depth < 1:
-            raise ValueError("depth must be positive")
+        if self.depth < 0:
+            raise ValueError(f"depth must be nonnegative, got {self.depth}")
 
     @property
     def dim(self) -> int:
@@ -113,16 +113,11 @@ class ModuleSpace:
 
     def scan_order(self, key: MonomialKey) -> tuple[int, ...]:
         """Flat positions listed from lowest monomial up, in the monomial order `key`."""
-        return _scan_order(self.d, self.depth, key)
+        return tuple(sorted(range(self.dim), key=lambda p: key(*divmod(p, self.d))))
 
     def mul_by_t(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         """Shift every seat one level up; the top level falls off."""
-        return (0,) * self.d + vec[: -self.d]
-
-
-@functools.cache
-def _scan_order(d: int, depth: int, key: MonomialKey) -> tuple[int, ...]:
-    return tuple(sorted(range(d * depth), key=lambda p: key(*divmod(p, d))))
+        return ((0,) * self.d + vec)[: len(vec)]
 
 
 def echelonize(
@@ -131,14 +126,14 @@ def echelonize(
     """Reduced echelon basis of the span, canonical for the monomial order `key`.
 
     Each row's pivot is its lowest nonzero monomial; pivots are normalized
-    to 1 and cleared from every other row.  Rows come back sorted by pivot.
+    to 1 and cleared from every other row, so the rows reduce a vector in
+    any order.  Rows come back sorted by pivot.
     """
     q = space.q
     seq = space.scan_order(key)
     pivots: dict[int, tuple[int, ...]] = {}
     for vec in vectors:
-        ranks = sorted(pivots)
-        v = _reduce(q, [pivots[rank] for rank in ranks], [seq[rank] for rank in ranks], vec)
+        v = _reduce(q, pivots.values(), [seq[rank] for rank in pivots], vec)
         lead = next((rank for rank in range(space.dim) if v[seq[rank]]), None)
         if lead is None:
             continue
@@ -325,24 +320,14 @@ def enumerate_submodules(
     return found
 
 
-def window_depth(colength: int) -> int:
-    """The window depth for submodules of colength up to `colength`: max(colength, 1).
-
-    A colength-n submodule contains T^n times the ambient module, so a
-    window of depth n sees it whole.
-    """
-    if colength < 0:
-        raise ValueError(f"colength must be nonnegative, got {colength}")
-    return max(colength, 1)
-
-
 def brute_strata(q: int, d: int, n: int) -> dict[Config, list[SubmoduleBasis]]:
     """The brute oracle: the scanned submodules of colength at most n, by leading module.
 
-    Scans the window of depth window_depth(n) with enumerate_submodules.
+    A colength-n submodule contains T^n times the ambient module, so the
+    window of depth n, scanned by enumerate_submodules, holds each one whole.
     """
     strata: dict[Config, list[SubmoduleBasis]] = {}
-    for m in enumerate_submodules(q, d, window_depth(n)):
+    for m in enumerate_submodules(q, d, n):
         if m.codim <= n:
             strata.setdefault(leading_module(m), []).append(m)
     return strata
@@ -438,9 +423,10 @@ def _family_cells(x: Config, key: MonomialKey) -> list[list[int]]:
     ]
 
 
-def _family(x: Config, q: int, depth: int, key: MonomialKey) -> list[SubmoduleBasis]:
+def _family(x: Config, space: ModuleSpace, key: MonomialKey) -> list[SubmoduleBasis]:
     """The submodules spanned by one generator per seat, over every filling of the free cells.
 
+    The generators live in `space`, a window of depth at least size(x).
     Seat i's generator is its leading monomial (seat i, level x_i), dropped
     when the window truncates it, plus coefficients from F_q on the cells
     of `_family_cells(x, key)`.  The submodule is spanned by the T-powers of
@@ -448,9 +434,9 @@ def _family(x: Config, q: int, depth: int, key: MonomialKey) -> list[SubmoduleBa
     leads, with coefficient 1, at its own flat position, so the canonical
     basis is one back-substitution of those rows; under `lex_key` the
     height-order leads of the powers can collide, and the rows are
-    echelonized.  Output is sorted.
+    echelonized.
     """
-    space = ModuleSpace(q, x.d, depth)
+    q, depth = space.q, space.depth
     # Per seat with a lead in the window, the flat positions of the lead and
     # of the free cells; a truncated generator is zero and spans nothing.
     gens = []
@@ -480,7 +466,6 @@ def _family(x: Config, q: int, depth: int, key: MonomialKey) -> list[SubmoduleBa
             found.append(SubmoduleBasis(space, _back_substitute(q, closure)))
         else:
             found.append(SubmoduleBasis.from_vectors(space, (gen for _, gen in closure)))
-    found.sort(key=lambda m: (m.codim, m.rows))
     return found
 
 
@@ -511,14 +496,16 @@ def families(
     leading module x, of q**W(x) members; under `lex_key` it is the group of
     Hermite matrices with diagonal x: column j is the generator T^{x_j} u_j
     plus, on each seat i > j, a polynomial of degree below x_i.  Every
-    family lives in the window of depth window_depth(n).  q and d are
-    validated first, then the members of all the families, q to each
-    family's free-cell count, are summed against `cap`; only then is any
-    family built, one at a time.
+    family lives in the one window of depth n, built first, which validates
+    q, d and n.  The members of the families, q to each family's free-cell
+    count, are summed against `cap` profile by profile, so a refusal looks
+    at no more than cap + 1 profiles; only then is any family built.
     """
-    depth = window_depth(n)
-    ModuleSpace(q, d, depth)  # rejects a bad q or d before the cap is checked
-    xs = [x for k in range(n + 1) for x in configs_with_size(d, k)]
-    _check_work((q ** sum(map(len, _family_cells(x, key))) for x in xs), cap)
-    for x in xs:
-        yield x, _family(x, q, depth, key)
+    space = ModuleSpace(q, d, n)
+
+    def profiles() -> Iterator[Config]:
+        return (x for k in range(n + 1) for x in configs_with_size(d, k))
+
+    _check_work((q ** sum(map(len, _family_cells(x, key))) for x in profiles()), cap)
+    for x in profiles():
+        yield x, _family(x, space, key)

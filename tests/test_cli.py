@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from spiralshift import Config, brute_strata
 from spiralshift.cli import main
 
 
@@ -324,6 +325,15 @@ def test_cap_exceeded_exits_4(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("command,flag", [("count", "--N"), ("strata", "--n")])
+def test_census_past_the_cap_exits_4_at_once(capsys, command, flag):
+    # 906,192 profiles of size at most 26 in width 6; counting stops past the cap.
+    started = time.perf_counter()
+    code, out, err = run(capsys, [command, "--q", "2", "--d", "6", flag, "26"])
+    assert time.perf_counter() - started < 1
+    assert (code, out, err) == (4, "", "error: submodules to build exceed the cap 1048576\n")
+
+
 def test_cap_at_the_exact_work_runs(capsys):
     code, out, _ = run(
         capsys, ["count", "--q", "2", "--d", "3", "--N", "3", "--cap", "198"]
@@ -459,6 +469,18 @@ def test_verify_full_profile(capsys):
         "PASS free orbit product formula: 50 random independent generator sets, t_cut=8",
         "PASS tightness preservation: 595 preserved applications",
         "PASS content additivity under the action: 146 pairs",
+    ]
+
+
+def test_verify_stratum_law_failure_names_the_stray_profiles(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "spiralshift.checks.brute_strata",
+        lambda q, d, n: {**brute_strata(q, d, n), Config((9, 9)): []},
+    )
+    code, out, _ = run(capsys, ["verify", "--profile", "quick"])
+    assert code == 5
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL stratum law: unlabelled submodules at q=2, d=2, profiles [(9, 9)]"
     ]
 
 

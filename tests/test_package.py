@@ -54,7 +54,6 @@ EXPORTED = [
     "sum_over_configs",
     "weight",
     "weight_by_seats",
-    "window_depth",
 ]
 
 
@@ -159,3 +158,28 @@ def test_modules_import_only_the_layers_below():
     assert not imports["series"] & {"submodules", "checks", "cli"}
     assert not imports["submodules"] & {"checks", "cli"}
     assert "cli" not in imports["checks"]
+
+
+# The functools memoizers: state that outlives the call that fills it.
+MEMOIZERS = {"cache", "lru_cache", "cached_property"}
+
+
+def test_package_keeps_no_state_between_calls():
+    # A cache kept across calls makes a repeated run look faster than the
+    # first; every call derives what it needs afresh.
+    package = Path(spiralshift.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+            ):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: functools.{n}" for n in names if n in MEMOIZERS]
+    assert found == []

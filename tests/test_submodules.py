@@ -9,6 +9,7 @@ to references built from `oracle.Slot`.
 """
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given
@@ -32,7 +33,6 @@ from spiralshift import (
     pivot_profile,
     size,
     weight,
-    window_depth,
 )
 
 import oracle
@@ -77,8 +77,8 @@ class TestModuleSpace:
             ModuleSpace(4, 2, 2)
         with pytest.raises(ValueError):
             ModuleSpace(2, 0, 2)
-        with pytest.raises(ValueError):
-            ModuleSpace(2, 2, 0)
+        with pytest.raises(ValueError, match="depth must be nonnegative, got -1"):
+            ModuleSpace(2, 2, -1)
 
     def test_rejects_composite_moduli(self):
         for bad in (0, 1, 4, 6, 9, 15):
@@ -135,12 +135,13 @@ class TestModuleSpace:
 
     def test_scan_orders_equal_the_slot_orders(self):
         for d in range(1, 5):
-            for depth in range(1, 6):
+            for depth in range(6):
+                space = ModuleSpace(2, d, depth)
                 for key, order in KEY_ORDERS:
                     expected = sorted(
                         range(d * depth), key=lambda p: order(slot_from_index(p, d))
                     )
-                    assert submodules._scan_order(d, depth, key) == tuple(expected), (d, depth)
+                    assert space.scan_order(key) == tuple(expected), (d, depth)
 
 
 class TestEchelonize:
@@ -311,11 +312,6 @@ class TestCensus:
         census = brute_census(2, 2, 1)
         assert census.observed() == [1, 3]
         assert census.predicted() == [1, 3]
-
-    def test_window_depth(self):
-        assert [window_depth(n) for n in (0, 1, 2, 5)] == [1, 1, 2, 5]
-        with pytest.raises(ValueError, match="nonnegative"):
-            window_depth(-1)
 
 
 class TestStrata:
@@ -503,13 +499,13 @@ class TestWalk:
     def test_member_guards_fire(self, monkeypatch, fault, message):
         family = submodules._family
 
-        def faulty(x, q, depth, key):
+        def faulty(x, space, key):
             if fault == "wrong_stratum":
-                return family(Config.origin(x.d), q, depth, key)
-            members = family(x, q, depth, key)
+                return family(Config.origin(x.d), space, key)
+            members = family(x, space, key)
             if fault == "duplicate":
                 return members + members[:1]
-            space = members[0].space
+            q = space.q
             if fault == "not_reduced":
                 # The first stratum is the whole module: keep its span, with
                 # row 0 replaced by row 0 + row 1.
@@ -526,12 +522,13 @@ class TestWalk:
     def test_family_equals_echelonized_closure(self, q, d, n):
         # Pins the hlex back-substitution and the first-zero-power stop of both
         # keys to echelonizing every T-power.
-        depth = window_depth(n)
+        space = ModuleSpace(q, d, n)
         for k in range(n + 1):
             for x in configs_with_size(d, k):
                 for key in (hlex_key, lex_key):
-                    expected = echelonized_family(x, q, depth, key)
-                    assert submodules._family(x, q, depth, key) == expected, (x, key)
+                    expected = echelonized_family(x, q, n, key)
+                    got = submodules._family(x, space, key)
+                    assert sorted(got, key=lambda m: (m.codim, m.rows)) == expected, (x, key)
 
 
 class TestExactCap:
@@ -560,6 +557,19 @@ class TestExactCap:
         with pytest.raises(FeasibilityError, match="cap 10"):
             dict(families(2, 2, 2, lex_key, cap=10))
         assert sum(map(len, dict(families(2, 2, 2, lex_key, cap=11)).values())) == 11
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: dict(families(2, 8, 40)), lambda: Census.walk(2, 6, 26)],
+        ids=["families-2-8-40", "walk-2-6-26"],
+    )
+    def test_refuses_at_once(self, build):
+        # The profiles are counted lazily, so refusing looks at no more than
+        # cap + 1 of them: (2, 8, 40) has 377,348,994.
+        started = time.perf_counter()
+        with pytest.raises(FeasibilityError, match="submodules to build exceed the cap 1048576"):
+            build()
+        assert time.perf_counter() - started < 1.0
 
     def test_modulus_is_checked_before_the_cap(self):
         for build in (

@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Capture the CLI's output on a fixed list of invocations, for byte-identity checks.
+
+Each invocation runs in process through `spiralshift.cli.main`, once as a
+table and once with `--json`.  One JSON line per run goes to OUT: the argv,
+the exit code, stdout with every `elapsed_s` value blanked to null, and
+stderr.  Two checkouts give the same output when their captures are equal:
+
+    PYTHONPATH=src python3 scripts/capture_cli.py before.jsonl   # in one checkout
+    PYTHONPATH=src python3 scripts/capture_cli.py after.jsonl    # in the other
+    cmp before.jsonl after.jsonl
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import re
+
+from spiralshift.cli import main
+
+CENSUS_GRIDS = [(2, 3, 3), (2, 4, 2), (2, 2, 5), (3, 2, 4), (3, 3, 2), (2, 2, 0)]
+STRATA_GRIDS = [(2, 3, 3), (3, 2, 3)]
+
+INVOCATIONS = [
+    ["verify", "--profile", "quick"],
+    ["verify", "--profile", "full"],
+    *(["count", "--q", str(q), "--d", str(d), "--N", str(n)] for q, d, n in CENSUS_GRIDS),
+    *(["strata", "--q", str(q), "--d", str(d), "--n", str(n)] for q, d, n in STRATA_GRIDS),
+    ["count", "--q", "2", "--d", "3", "--N", "3", "--cap", "197"],
+    ["count", "--q", "2", "--d", "3", "--N", "3", "--cap", "198"],
+    ["count", "--q", "4", "--d", "2", "--N", "2"],
+]
+
+ELAPSED = re.compile(r'("elapsed_s": )[^,\n}]+')
+
+
+def capture(argv: list[str]) -> dict:
+    """argv, exit code, stdout with the timings blanked, and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses malformed flags this way
+            code = exc.code
+    stdout = ELAPSED.sub(r"\1null", out.getvalue())
+    return {"argv": argv, "code": code, "stdout": stdout, "stderr": err.getvalue()}
+
+
+def main_entry() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", metavar="OUT", help="file to write the JSON lines to")
+    args = parser.parse_args()
+    with open(args.out, "w") as fh:
+        for argv in INVOCATIONS:
+            for run in (argv, argv + ["--json"]):
+                fh.write(json.dumps(capture(run)) + "\n")
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -12,20 +12,27 @@ enumerating them is an oracle for submodule counts by colength up to N.
 
 Two monomial orders are used, each given as a sort key of (level, 0-based
 seat): the height order `hlex_key` (level, then seat), whose reduced
-echelon bases are the canonical identity of a submodule and whose per-seat
-pivot profile is the leading-term stratum label, and the seat-major order
-`lex_key` (seat, then level), under which the strata are the diagonals of
-the lower-triangular generator matrices.  Both stratifications come from one
-generator: for a profile x, the generator of seat i leads at level x_i and
-carries free coefficients from F_q on the monomials of the other seats that
-lie above its lead in the order and below their own seat's lead.
-Under `hlex_key` that family is the stratum of x, of q**W(x) members;
-under `lex_key` it is the group of Hermite matrices with diagonal x.  A
-member is spanned by the T-powers of its generators up to the first zero
-one.  Under `hlex_key` each power leads at its own flat position with
-coefficient 1, so the canonical basis is one back-substitution; under
-`lex_key` the height-order leads can collide, and the powers are
-echelonized.  Every elimination step, in both, is one `_reduce`.
+echelon bases are the canonical identity of a submodule, and the
+seat-major order `lex_key` (seat, then level), under which the strata are
+the diagonals of the lower-triangular generator matrices.  One lead rule
+serves both: a vector's lead under `key` is its nonzero flat position p
+least by `key(*divmod(p, d))`.  `echelonize`, under either order, is a
+forward pass that keeps span rows with distinct leads, each 1, and a
+back-substitution that clears each lead from the other rows.  The leading
+module, the least lead level on each seat, is the stratum label under
+either order; `leading_module` reads it off the stored hlex pivots, or
+off the forward pass's leads under `lex_key`.
+Both stratifications come from one generator: for a profile x, the
+generator of seat i leads at level x_i and carries free coefficients from
+F_q on the monomials of the other seats that lie above its lead in the
+order and below their own seat's lead.  Under `hlex_key` that family is
+the stratum of x, of q**W(x) members; under `lex_key` it is the group of
+Hermite matrices with diagonal x.  A member is spanned by the T-powers of
+its generators up to the first zero one.  Under `hlex_key` each power
+leads at its own flat position with coefficient 1, so the canonical basis
+is the back-substitution alone; under `lex_key` the height-order leads can
+collide, and the powers are echelonized.  Every elimination step is one
+`_reduce`.
 
 `families(q, d, n, key)` is the one capped path to the families: it
 builds the one window of depth n, which validates q, d and n, sums the
@@ -111,10 +118,6 @@ class ModuleSpace:
     def dim(self) -> int:
         return self.d * self.depth
 
-    def scan_order(self, key: MonomialKey) -> tuple[int, ...]:
-        """Flat positions listed from lowest monomial up, in the monomial order `key`."""
-        return tuple(sorted(range(self.dim), key=lambda p: key(*divmod(p, self.d))))
-
     def mul_by_t(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         """Shift every seat one level up; the top level falls off."""
         return ((0,) * self.d + vec)[: len(vec)]
@@ -125,24 +128,44 @@ def echelonize(
 ) -> tuple[tuple[int, ...], ...]:
     """Reduced echelon basis of the span, canonical for the monomial order `key`.
 
-    Each row's pivot is its lowest nonzero monomial; pivots are normalized
-    to 1 and cleared from every other row, so the rows reduce a vector in
-    any order.  Rows come back sorted by pivot.
+    A row's pivot is its lowest nonzero monomial under `key`.  A forward
+    pass gives the span rows with distinct pivots, each 1; back-substitution
+    clears every pivot from the other rows.  Rows come back sorted by pivot
+    in `key` order.  Each vector must have length `space.dim` and entries
+    in [0, q).
     """
-    q = space.q
-    seq = space.scan_order(key)
-    pivots: dict[int, tuple[int, ...]] = {}
+    return _back_substitute(space, _forward_pass(space, vectors, key), key)
+
+
+def _forward_pass(
+    space: ModuleSpace, vectors: Iterable[tuple[int, ...]], key: MonomialKey
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(pivot, row) pairs spanning the vectors, each row 1 at its pivot.
+
+    Each vector is reduced by the rows kept so far, in the order they were
+    kept; each kept row is zero at the earlier pivots, so that order clears
+    them all, and the pivots are distinct.  The pivots are then the leading
+    monomials under `key` of the whole span.
+    """
+    q, d, dim = space.q, space.d, space.dim
+    positions = range(dim)
+    key_of = [key(*divmod(p, d)) for p in positions]
+    rows: list[tuple[int, ...]] = []
+    pivots: list[int] = []
     for vec in vectors:
-        v = _reduce(q, pivots.values(), [seq[rank] for rank in pivots], vec)
-        lead = next((rank for rank in range(space.dim) if v[seq[rank]]), None)
-        if lead is None:
-            continue
-        inv = pow(v[seq[lead]], -1, q)
-        v = tuple((a * inv) % q for a in v)
-        for rank, row in pivots.items():
-            pivots[rank] = _reduce(q, (v,), (seq[lead],), row)
-        pivots[lead] = v
-    return tuple(pivots[rank] for rank in sorted(pivots))
+        if len(vec) != dim:
+            raise ValueError(f"vector of length {len(vec)} in a window of dimension {dim}")
+        if min(vec, default=0) < 0 or max(vec, default=0) >= q:
+            raise ValueError(f"vector entries must lie in [0, {q}), got {vec}")
+        v = _reduce(q, rows, pivots, vec)
+        lead = min(filter(v.__getitem__, positions), key=key_of.__getitem__, default=None)
+        if lead is not None:
+            if v[lead] != 1:
+                inv = pow(v[lead], -1, q)
+                v = [(a * inv) % q for a in v]
+            rows.append(tuple(v))
+            pivots.append(lead)
+    return list(zip(pivots, rows))
 
 
 def _reduce(
@@ -166,7 +189,10 @@ def _reduce(
 
 @dataclass(frozen=True)
 class SubmoduleBasis:
-    """Canonical height-order reduced echelon basis of a subspace of a module window."""
+    """Canonical height-order reduced echelon basis of a subspace of a module window.
+
+    Every row must have the window's dimension as its length.
+    """
 
     space: ModuleSpace
     rows: tuple[tuple[int, ...], ...]
@@ -176,14 +202,11 @@ class SubmoduleBasis:
 
     def __post_init__(self) -> None:
         dim = self.space.dim
+        for row in self.rows:
+            if len(row) != dim:
+                raise ValueError(f"row of length {len(row)} in a window of dimension {dim}")
         pivots = tuple(next((p for p, c in enumerate(row) if c), dim) for row in self.rows)
         object.__setattr__(self, "_pivots", pivots)
-
-    @classmethod
-    def from_vectors(
-        cls, space: ModuleSpace, vectors: Iterable[tuple[int, ...]]
-    ) -> "SubmoduleBasis":
-        return cls(space, echelonize(space, vectors))
 
     @property
     def codim(self) -> int:
@@ -212,37 +235,30 @@ class SubmoduleBasis:
         )
 
 
-def pivot_profile(m: SubmoduleBasis, key: MonomialKey = hlex_key) -> tuple[int, ...]:
-    """Per seat, the least pivot level of the basis echelonized under `key` (depth if none).
+def leading_module(m: SubmoduleBasis, key: MonomialKey = hlex_key) -> Config:
+    """Leading-term stratum label of a T-stable subspace under the monomial order `key`.
 
-    A row's pivot is its first nonzero entry in the scan order of `key`.
+    Seat i carries the least level of a pivot on it, or the full depth when
+    the seat has no pivot.  Under `hlex_key` the pivots are the stored
+    rows'; under another key they are the forward pass's, whose pivots are
+    the leading monomials of the span.  Only meaningful while no leading
+    data is truncated away, i.e. when the colength is at most the depth.
     """
     space = m.space
-    if key is hlex_key:  # stored bases are hlex-echelonized; flat order is hlex order
+    if m.codim > space.depth:
+        raise ValueError(
+            f"colength {m.codim} exceeds window depth {space.depth}; deepen the window"
+        )
+    if key is hlex_key:  # stored bases are hlex-echelonized
         pivots = m.pivot_positions()
     else:
-        seq = space.scan_order(key)
-        pivots = [next(p for p in seq if row[p]) for row in echelonize(space, m.rows, key)]
+        pivots = [p for p, _ in _forward_pass(space, m.rows, key)]
     lows = [space.depth] * space.d
     for p in pivots:
         level, seat = divmod(p, space.d)
         if level < lows[seat]:
             lows[seat] = level
-    return tuple(lows)
-
-
-def leading_module(m: SubmoduleBasis) -> Config:
-    """Leading-term stratum label of a T-stable subspace.
-
-    Seat i carries the least height-order pivot level, or the full depth
-    when the seat has no pivot.  Only meaningful while no leading data is
-    truncated away, i.e. when the colength is at most the depth.
-    """
-    if m.codim > m.space.depth:
-        raise ValueError(
-            f"colength {m.codim} exceeds window depth {m.space.depth}; deepen the window"
-        )
-    return Config(pivot_profile(m))
+    return Config(lows)
 
 
 def _check_work(work: Iterable[int], cap: int) -> None:
@@ -258,18 +274,16 @@ def _check_work(work: Iterable[int], cap: int) -> None:
             raise FeasibilityError(f"submodules to build exceed the cap {cap}")
 
 
-def _echelon_cells(space: ModuleSpace, pivot_positions: Iterable[int]) -> list[list[int]]:
-    """Per height-order pivot, in increasing order, the free positions after it."""
-    pivots = sorted(pivot_positions)
+def _echelon_cells(space: ModuleSpace, pivots: tuple[int, ...]) -> list[list[int]]:
+    """Per height-order pivot, increasing, the free positions after it."""
     pivot_set = set(pivots)
     return [[c for c in range(p + 1, space.dim) if c not in pivot_set] for p in pivots]
 
 
 def _echelon_candidates(
-    space: ModuleSpace, pivot_positions: Iterable[int]
+    space: ModuleSpace, pivots: tuple[int, ...]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All reduced echelon row tuples with the given height-order pivots."""
-    pivots = sorted(pivot_positions)
+    """All reduced echelon row tuples with the given increasing height-order pivots."""
     free = _echelon_cells(space, pivots)
     for assign in itertools.product(range(space.q), repeat=sum(map(len, free))):
         values = iter(assign)
@@ -284,17 +298,19 @@ def _echelon_candidates(
 
 
 def _pivot_sets(space: ModuleSpace) -> Iterator[tuple[int, ...]]:
-    """Height-order pivot positions of every profile a T-stable subspace can carry.
+    """Height-order pivot positions, increasing, of every profile a T-stable subspace can carry.
 
     Multiplying by T pushes a vector's lowest monomial one level up in the
     same seat, so the pivot levels of a T-stable subspace fill a top range
     of levels in each seat.
     """
-    for profile in itertools.product(range(space.depth + 1), repeat=space.d):
+    d = space.d
+    for profile in itertools.product(range(space.depth + 1), repeat=d):
         yield tuple(
-            level * space.d + seat
-            for seat in range(space.d)
-            for level in range(profile[seat], space.depth)
+            level * d + seat
+            for level in range(space.depth)
+            for seat in range(d)
+            if level >= profile[seat]
         )
 
 
@@ -311,8 +327,8 @@ def enumerate_submodules(
     space = ModuleSpace(q, d, depth)
     _check_work((q ** sum(map(len, _echelon_cells(space, p))) for p in _pivot_sets(space)), cap)
     found = []
-    for pivot_positions in _pivot_sets(space):
-        for rows in _echelon_candidates(space, pivot_positions):
+    for pivots in _pivot_sets(space):
+        for rows in _echelon_candidates(space, pivots):
             basis = SubmoduleBasis(space, rows)
             if basis.is_t_stable():
                 found.append(basis)
@@ -434,7 +450,7 @@ def _family(x: Config, space: ModuleSpace, key: MonomialKey) -> list[SubmoduleBa
     leads, with coefficient 1, at its own flat position, so the canonical
     basis is one back-substitution of those rows; under `lex_key` the
     height-order leads of the powers can collide, and the rows are
-    echelonized.
+    echelonized under `hlex_key`.
     """
     q, depth = space.q, space.depth
     # Per seat with a lead in the window, the flat positions of the lead and
@@ -463,26 +479,31 @@ def _family(x: Config, space: ModuleSpace, key: MonomialKey) -> list[SubmoduleBa
                 closure.append((low + k * x.d, gen))
                 gen = space.mul_by_t(gen)
         if key is hlex_key:
-            found.append(SubmoduleBasis(space, _back_substitute(q, closure)))
+            found.append(SubmoduleBasis(space, _back_substitute(space, closure, key)))
         else:
-            found.append(SubmoduleBasis.from_vectors(space, (gen for _, gen in closure)))
+            found.append(SubmoduleBasis(space, echelonize(space, (gen for _, gen in closure))))
     return found
 
 
 def _back_substitute(
-    q: int, closure: list[tuple[int, tuple[int, ...]]]
+    space: ModuleSpace, pairs: list[tuple[int, tuple[int, ...]]], key: MonomialKey
 ) -> tuple[tuple[int, ...], ...]:
     """The reduced echelon rows of (pivot, row) pairs whose pivots are distinct and 1.
 
-    A row's pivot is its first nonzero position.  Taken from the highest
-    pivot down, a row is cleared at the pivots of the rows already done;
-    those are zero at one another's pivots, so each clearing leaves the
-    others in place.  Rows come back sorted by pivot.
+    A row's pivot is its lowest nonzero monomial under `key`.  Taken from
+    the highest pivot down, a row is cleared at the pivots of the rows
+    already done; those are zero at one another's pivots, so each clearing
+    leaves the others in place.  Rows come back sorted by pivot in `key`
+    order, which under `hlex_key` is flat order.
     """
+    if key is hlex_key:  # hlex order is flat order
+        pairs = sorted(pairs, reverse=True)
+    else:
+        pairs = sorted(pairs, key=lambda pair: key(*divmod(pair[0], space.d)), reverse=True)
     rows: list[tuple[int, ...]] = []
     pivots: list[int] = []
-    for pivot, row in sorted(closure, reverse=True):
-        rows.append(_reduce(q, rows, pivots, row))
+    for pivot, row in pairs:
+        rows.append(_reduce(space.q, rows, pivots, row))
         pivots.append(pivot)
     return tuple(reversed(rows))
 

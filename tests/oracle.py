@@ -28,8 +28,9 @@ and tests T-stability by listing the span, so it shares nothing with
 `enumerate_submodules` but the basis value type `SubmoduleBasis`.
 `monomial_vector` builds the flat vector of one monomial of a window.
 `family_cells` lists a family's free cells as slots under `hlex_order`
-or `lex_order`.  `leading_profile` reads the per-seat leading levels off
-the whole span, with no echelon form.
+or `lex_order`.  `lead` is the lead rule of a nonzero vector under a
+package monomial key, and `leading_profile` reads the per-seat leading
+levels off the whole span with it, with no echelon form.
 """
 
 import itertools
@@ -267,6 +268,11 @@ def family_cells(x: Config, order) -> list[list[Slot]]:
     ]
 
 
+def lead(vec, d: int, key) -> int:
+    """Flat position of the lowest nonzero monomial of vec under the package key `key`."""
+    return min((p for p, c in enumerate(vec) if c), key=lambda p: key(*divmod(p, d)))
+
+
 def leading_profile(m: SubmoduleBasis, key) -> tuple[int, ...]:
     """Per seat, the least level of a leading monomial under `key` of a nonzero span vector.
 
@@ -280,8 +286,7 @@ def leading_profile(m: SubmoduleBasis, key) -> tuple[int, ...]:
     for coeffs in itertools.product(range(q), repeat=len(m.rows)):
         vec = [sum(c * row[i] for c, row in zip(coeffs, m.rows)) % q for i in range(dim)]
         if any(vec):
-            lead = min((p for p, c in enumerate(vec) if c), key=lambda p: key(*divmod(p, d)))
-            level, seat = divmod(lead, d)
+            level, seat = divmod(lead(vec, d, key), d)
             lows[seat] = min(lows[seat], level)
     return tuple(lows)
 

@@ -16,6 +16,7 @@ from spiralshift import (
     SubmoduleBasis,
     box_partitions,
     brute_strata,
+    echelonize,
     enumerate_submodules,
     families,
     free_orbit_formula,
@@ -47,6 +48,22 @@ WIDE_GENS = GeneratorSet(3, (MultiIndex((1, 0, 0)),))
         (lambda: box_partitions(2, -1), "box dimensions must be nonnegative"),
         (lambda: gaussian_counts(2, 0), "width d must be positive"),
         (lambda: dict(families(2, 2, -1)), "depth must be nonnegative, got -1"),
+        (
+            lambda: echelonize(ModuleSpace(2, 2, 2), [(1, 0)]),
+            "vector of length 2 in a window of dimension 4",
+        ),
+        (
+            lambda: echelonize(ModuleSpace(2, 2, 2), [(2, 0, 0, 0)]),
+            "vector entries must lie in [0, 2), got (2, 0, 0, 0)",
+        ),
+        (
+            lambda: echelonize(ModuleSpace(3, 1, 2), [(0, -1)]),
+            "vector entries must lie in [0, 3), got (0, -1)",
+        ),
+        (
+            lambda: SubmoduleBasis(ModuleSpace(2, 2, 2), ((1, 0),)),
+            "row of length 2 in a window of dimension 4",
+        ),
     ],
     ids=[
         "product_formula",
@@ -58,6 +75,10 @@ WIDE_GENS = GeneratorSet(3, (MultiIndex((1, 0, 0)),))
         "box_partitions-cols",
         "gaussian_counts",
         "families",
+        "echelonize-length",
+        "echelonize-entry",
+        "echelonize-negative",
+        "SubmoduleBasis-length",
     ],
 )
 def test_out_of_domain_inputs_are_refused(build, message):

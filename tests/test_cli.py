@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism, serialization."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -572,3 +573,38 @@ def test_worked_example_script_bad_levels_exit_2_without_traceback(levels, messa
     assert done.stderr.startswith("error: ")
     assert message in done.stderr
     assert len(done.stderr.splitlines()) == 1
+
+
+def load_capture_script():
+    path = ROOT / "scripts" / "capture_cli.py"
+    spec = importlib.util.spec_from_file_location("spiralshift_capture_cli", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_capture_script_records_code_streams_and_blanked_timing():
+    capture = load_capture_script().capture
+    argv = ["count", "--q", "2", "--d", "2", "--N", "2"]
+    assert capture(argv) == {
+        "argv": argv,
+        "code": 0,
+        "stdout": "n=0 observed=1 predicted=1\nn=1 observed=3 predicted=3\n"
+        "n=2 observed=7 predicted=7\n",
+        "stderr": "",
+    }
+    record = capture(argv + ["--json"])
+    assert (record["code"], record["stderr"]) == (0, "")
+    assert record["stdout"].endswith('  "elapsed_s": null\n}\n')
+    assert json.loads(record["stdout"])["result"] == {"observed": [1, 3, 7], "predicted": [1, 3, 7]}
+    refused = ["count", "--q", "4", "--d", "2", "--N", "2"]
+    assert capture(refused) == {
+        "argv": refused,
+        "code": 2,
+        "stdout": "",
+        "stderr": "error: modulus must be prime, got 4\n",
+    }
+    # argparse refuses by raising SystemExit, which the capture records too.
+    malformed = capture(["count", "--q", "2", "--d", "2", "--N", "-1"])
+    assert (malformed["code"], malformed["stdout"]) == (2, "")
+    assert "argument --N: must be nonnegative" in malformed["stderr"]

@@ -45,7 +45,6 @@ EXPORTED = [
     "multiindex_content",
     "orbit_sum",
     "partition_to_config",
-    "pivot_profile",
     "product_formula",
     "recurrence_formula",
     "semigroup_elements",

@@ -4,8 +4,9 @@ Independent oracles: Galois numbers (all subspaces, counted by Gaussian
 binomials), complete homogeneous sums for the colength totals, the
 all-pivot-sets scan `oracle.t_stable_subspaces`, and the brute scan
 `brute_strata` that the stratum walk `Census.walk` is pinned against.  The
-scan orders, family cells and families, all in flat positions, are pinned
-to references built from `oracle.Slot`.
+family cells and families, all in flat positions, are pinned to references
+built from `oracle.Slot`, and the leading modules to the span-listing
+`oracle.leading_profile`.
 """
 
 import itertools
@@ -30,7 +31,6 @@ from spiralshift import (
     hlex_key,
     leading_module,
     lex_key,
-    pivot_profile,
     size,
     weight,
 )
@@ -127,21 +127,15 @@ class TestModuleSpace:
         )
         assert shifted == expected
 
-    def test_scan_orders(self):
-        space = ModuleSpace(2, 2, 2)
-        assert space.scan_order(hlex_key) == (0, 1, 2, 3)
-        # Seat-major: u1, Tu1, u2, Tu2 at flat positions 0, 2, 1, 3.
-        assert space.scan_order(lex_key) == (0, 2, 1, 3)
 
-    def test_scan_orders_equal_the_slot_orders(self):
-        for d in range(1, 5):
-            for depth in range(6):
-                space = ModuleSpace(2, d, depth)
-                for key, order in KEY_ORDERS:
-                    expected = sorted(
-                        range(d * depth), key=lambda p: order(slot_from_index(p, d))
-                    )
-                    assert space.scan_order(key) == tuple(expected), (d, depth)
+@st.composite
+def echelon_inputs(draw):
+    """(space, up to 6 vectors of it, key) with q in {2, 3, 5}, d <= 3 and depth <= 3."""
+    q, d, depth = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    space = ModuleSpace(q, d, depth)
+    entries = st.integers(0, q - 1)
+    vector = st.lists(entries, min_size=space.dim, max_size=space.dim).map(tuple)
+    return space, draw(st.lists(vector, max_size=6)), draw(st.sampled_from([hlex_key, lex_key]))
 
 
 class TestEchelonize:
@@ -174,6 +168,18 @@ class TestEchelonize:
             assert echelonize(space, list(vectors) + [extra]) == rows
         assert SubmoduleBasis(space, rows).is_reduced()
 
+    @given(echelon_inputs())
+    def test_keyed_form_is_reduced_and_canonical(self, case):
+        space, vectors, key = case
+        rows = echelonize(space, vectors, key)
+        leads = [oracle.lead(row, space.d, key) for row in rows]
+        ranks = [key(*divmod(p, space.d)) for p in leads]
+        assert all(a < b for a, b in zip(ranks, ranks[1:]))
+        for i, p in enumerate(leads):
+            assert [row[p] for row in rows] == [int(k == i) for k in range(len(rows))]
+        assert echelonize(space, rows, key) == rows
+        assert echelonize(space, rows) == echelonize(space, vectors)
+
     def test_reduced_form_check(self):
         space = ModuleSpace(3, 2, 2)
         u = [(1, 0, 0, 0), (0, 1, 0, 0)]
@@ -192,16 +198,15 @@ class TestEchelonize:
 class TestLeadingModule:
     def test_full_module_and_simple_quotients(self):
         space = ModuleSpace(2, 3, 2)
-        full = SubmoduleBasis.from_vectors(
-            space, [monomial_vector(space, slot_from_index(k, space.d)) for k in range(space.dim)]
-        )
+        monomials = [monomial_vector(space, slot_from_index(k, space.d)) for k in range(space.dim)]
+        full = SubmoduleBasis(space, echelonize(space, monomials))
         assert leading_module(full) == Config((0, 0, 0))
 
         gens = [monomial_vector(space, Slot(1, 1))] + [
             monomial_vector(space, Slot(i, 0)) for i in (2, 3)
         ]
         closed = gens + [space.mul_by_t(g) for g in gens]
-        m = SubmoduleBasis.from_vectors(space, closed)
+        m = SubmoduleBasis(space, echelonize(space, closed))
         assert leading_module(m) == Config((1, 0, 0))
 
     def test_hand_echelonized_mixed_generator(self):
@@ -209,13 +214,13 @@ class TestLeadingModule:
         # Tu2, so the profile is (0, 1) with colength 1.
         space = ModuleSpace(2, 2, 2)
         vecs = [(1, 0, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1)]
-        m = SubmoduleBasis.from_vectors(space, vecs)
+        m = SubmoduleBasis(space, echelonize(space, vecs))
         assert m.codim == 1
         assert leading_module(m) == Config((0, 1))
 
     def test_level_one_pivots_on_both_seats(self):
         space = ModuleSpace(2, 2, 2)
-        m = SubmoduleBasis.from_vectors(space, [(0, 0, 1, 0), (0, 0, 0, 1)])
+        m = SubmoduleBasis(space, echelonize(space, [(0, 0, 1, 0), (0, 0, 0, 1)]))
         assert m.codim == 2
         assert leading_module(m) == Config((1, 1))
 
@@ -223,14 +228,22 @@ class TestLeadingModule:
     def test_pivot_profile_equals_the_span_oracle(self, q, d, depth):
         # The oracle takes leading monomials over the whole span, no echelon form.
         for m in enumerate_submodules(q, d, depth):
-            for key in (hlex_key, lex_key):
-                assert pivot_profile(m, key) == oracle.leading_profile(m, key), (m.rows, key)
+            if m.codim <= depth:
+                for key in (hlex_key, lex_key):
+                    got = leading_module(m, key).levels
+                    assert got == oracle.leading_profile(m, key), (m.rows, key)
 
     def test_rejects_colength_beyond_depth(self):
-        space = ModuleSpace(2, 2, 1)
-        empty = SubmoduleBasis.from_vectors(space, [])
-        with pytest.raises(ValueError):
+        empty = SubmoduleBasis(ModuleSpace(2, 2, 1), ())
+        with pytest.raises(ValueError, match="colength 2 exceeds window depth 1"):
             leading_module(empty)
+
+    def test_lex_rejects_colength_beyond_depth_too(self):
+        # The lex pivots come from the forward pass, after the same guard.
+        space = ModuleSpace(2, 2, 2)
+        m = SubmoduleBasis(space, echelonize(space, [(0, 0, 1, 0)]))
+        with pytest.raises(ValueError, match="colength 3 exceeds window depth 2"):
+            leading_module(m, lex_key)
 
 
 class TestEnumerateSubmodules:
@@ -375,7 +388,7 @@ class TestHermite:
     def test_seat_major_pivot_profile_recovers_the_diagonal(self):
         for x, group in families(2, 3, 2, lex_key):
             for m in group:
-                assert pivot_profile(m, lex_key) == x.levels
+                assert leading_module(m, lex_key) == x
 
 
 # Grids past the reach of the brute scan, where the two stratifications check each other.
@@ -396,7 +409,7 @@ class TestStratificationsAgree:
             totals.append(len(covered))
         assert totals == Census.walk(q, d, n).observed()
         for x, group in lex.items():
-            assert all(pivot_profile(m, lex_key) == x.levels for m in group), x
+            assert all(leading_module(m, lex_key) == x for m in group), x
 
 
 def below_diagonal(diag):
@@ -462,7 +475,7 @@ def echelonized_family(x, q, depth, key):
             for _ in range(depth):
                 closure.append(gen)
                 gen = space.mul_by_t(gen)
-        found.append(SubmoduleBasis.from_vectors(space, closure))
+        found.append(SubmoduleBasis(space, echelonize(space, closure)))
     return sorted(found, key=lambda m: (m.codim, m.rows))
 
 
@@ -512,7 +525,7 @@ class TestWalk:
                 rows = members[0].rows
                 row = tuple((a + b) % q for a, b in zip(rows[0], rows[1]))
                 return [SubmoduleBasis(space, (row,) + rows[1:])] + members[1:]
-            return [SubmoduleBasis.from_vectors(space, [monomial_vector(space, Slot(1, 0))])]
+            return [SubmoduleBasis(space, echelonize(space, [monomial_vector(space, Slot(1, 0))]))]
 
         monkeypatch.setattr(submodules, "_family", faulty)
         with pytest.raises(InternalInvariantError, match=message):

@@ -19,7 +19,10 @@ import re
 
 from spiralshift.cli import main
 
-CENSUS_GRIDS = [(2, 3, 3), (2, 4, 2), (2, 2, 5), (3, 2, 4), (3, 3, 2), (2, 2, 0)]
+# The bench's census grids, the zero window, and two grids of deep members.
+CENSUS_GRIDS = [
+    (2, 3, 3), (2, 4, 2), (2, 2, 5), (3, 2, 4), (3, 3, 2), (2, 2, 0), (2, 2, 8), (3, 3, 3)
+]
 STRATA_GRIDS = [(2, 3, 3), (3, 2, 3)]
 
 INVOCATIONS = [

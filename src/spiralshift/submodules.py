@@ -29,18 +29,24 @@ order and below their own seat's lead.  Under `hlex_key` that family is
 the stratum of x, of q**W(x) members; under `lex_key` it is the group of
 Hermite matrices with diagonal x.  A member is spanned by the T-powers of
 its generators up to the first zero one.  Under `hlex_key` each power
-leads at its own flat position with coefficient 1, so the canonical basis
-is the back-substitution alone; under `lex_key` the height-order leads can
-collide, and the powers are echelonized.  Every elimination step is one
-`_reduce`.
+leads at its own flat position with coefficient 1, and those leads make
+up the same pivot set P(x) = {a*d + (i-1) : x_i <= a < depth} for every
+member, so the stratum is planned once: the powers in order from the
+highest pivot down, each with the earlier pivots its shifted free cells
+land on.  A member then builds its d generators and clears each power at
+those pivots only, with nothing sorted or scanned.  Under `lex_key` the
+height-order leads can collide, and the powers are echelonized.  Every
+elimination step is one `_reduce`.
 
 `families(q, d, n, key)` is the one capped path to the families: it
 builds the one window of depth n, which validates q, d and n, sums the
 members of the families profile by profile against `cap`, stopping past
 it, and only then yields them one profile at a time.
 `Census.walk` checks each hlex stratum's members as they come, from their
-rows alone: reduced echelon form, T-stability, colength, leading module
-and no repeats.  It keeps only the stratum sizes; the colength totals and
+rows alone: reduced echelon form, T-stability, the pivot set P(x),
+worked out once per stratum from x and the depth, and no repeats.  For a
+T-stable member the pivot set says the leading module is x and the
+colength size(x).  It keeps only the stratum sizes; the colength totals and
 the stratum sizes, with their predictions, are read off it.  The scan
 `enumerate_submodules`, grouped by `brute_strata`, is the independent
 oracle the walk is tested against.
@@ -168,6 +174,26 @@ def _forward_pass(
     return list(zip(pivots, rows))
 
 
+def _back_substitute(
+    space: ModuleSpace, pairs: list[tuple[int, tuple[int, ...]]], key: MonomialKey
+) -> tuple[tuple[int, ...], ...]:
+    """The reduced echelon rows of (pivot, row) pairs whose pivots are distinct and 1.
+
+    A row's pivot is its lowest nonzero monomial under `key`.  Taken from
+    the highest pivot down, a row is cleared at the pivots of the rows
+    already done; those are zero at one another's pivots, so each clearing
+    leaves the others in place.  Rows come back sorted by pivot in `key`
+    order.
+    """
+    pairs = sorted(pairs, key=lambda pair: key(*divmod(pair[0], space.d)), reverse=True)
+    rows: list[tuple[int, ...]] = []
+    pivots: list[int] = []
+    for pivot, row in pairs:
+        rows.append(_reduce(space.q, rows, pivots, row))
+        pivots.append(pivot)
+    return tuple(reversed(rows))
+
+
 def _reduce(
     q: int,
     rows: Iterable[tuple[int, ...]],
@@ -191,7 +217,8 @@ def _reduce(
 class SubmoduleBasis:
     """Canonical height-order reduced echelon basis of a subspace of a module window.
 
-    Every row must have the window's dimension as its length.
+    Every row must have the window's dimension as its length and entries
+    in [0, q).
     """
 
     space: ModuleSpace
@@ -201,11 +228,15 @@ class SubmoduleBasis:
     _pivots: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        dim = self.space.dim
-        for row in self.rows:
+        q, dim, rows = self.space.q, self.space.dim, self.rows
+        for row in rows:
             if len(row) != dim:
                 raise ValueError(f"row of length {len(row)} in a window of dimension {dim}")
-        pivots = tuple(next((p for p, c in enumerate(row) if c), dim) for row in self.rows)
+        entries = set().union(*rows)
+        if min(entries, default=0) < 0 or max(entries, default=0) >= q:
+            row = next(row for row in rows if min(row) < 0 or max(row) >= q)
+            raise ValueError(f"row entries must lie in [0, {q}), got {row}")
+        pivots = tuple(next(itertools.compress(itertools.count(), row), dim) for row in rows)
         object.__setattr__(self, "_pivots", pivots)
 
     @property
@@ -221,18 +252,43 @@ class SubmoduleBasis:
         rows, pivots = self.rows, self._pivots
         if any(a >= b for a, b in zip(pivots, pivots[1:])) or self.space.dim in pivots:
             return False
+        columns = list(zip(*rows))
         zeros = len(rows) - 1
-        for row, p in zip(rows, pivots):
-            column = [other[p] for other in rows]
-            if row[p] != 1 or column.count(0) != zeros:
-                return False
-        return True
+        return all(row[p] == 1 and columns[p].count(0) == zeros for row, p in zip(rows, pivots))
 
     def is_t_stable(self) -> bool:
-        q, rows, pivots = self.space.q, self.rows, self._pivots
-        return not any(
-            any(_reduce(q, rows, pivots, self.space.mul_by_t(row))) for row in rows
-        )
+        """Whether T maps the span into itself; the basis must be reduced.
+
+        A vector v lies in the span of a reduced basis exactly when it is
+        the sum of the rows weighted by its entries at their pivots.  For
+        v = T·row, whose entry at f is the row's entry at f - d (0 below
+        level 1), that reads column by column: column f - d equals the sum
+        over the rows i of rows[i][f] times column p_i - d.  A pivot column
+        holds the lone 1 of its row, so it needs no check.  Where p_i - d is
+        the pivot of row k, column p_i - d is the unit vector at k, so those
+        rows only move the entries of column f to other rows; the few rows
+        i whose p_i - d is a free column are summed where they are nonzero.
+        """
+        q, d, rows, pivots = self.space.q, self.space.d, self.rows, self._pivots
+        r = len(rows)
+        columns = list(zip(*rows))
+        rank = {p: i for i, p in enumerate(pivots)}
+        # Entry k of the moved column is its entry at the row whose pivot is
+        # p_k + d, or the 0 appended at index r when there is none.
+        up = [rank.get(p + d, r) for p in pivots]
+        lows = [(i, p - d) for i, p in enumerate(pivots) if p >= d and p - d not in rank]
+        zero = (0,) * r
+        for f, column in enumerate(columns):
+            if f in rank:
+                continue
+            total = tuple(map((column + (0,)).__getitem__, up))
+            for i, source in lows:
+                c = column[i]
+                if c:
+                    total = tuple([(a + c * b) % q for a, b in zip(total, columns[source])])
+            if total != (columns[f - d] if f >= d else zero):
+                return False
+        return True
 
 
 def leading_module(m: SubmoduleBasis, key: MonomialKey = hlex_key) -> Config:
@@ -371,8 +427,9 @@ class Census:
         The strata are the hlex families, one at a time from `families`, so
         their members, summed, may not exceed `cap`.
         """
+        space = ModuleSpace(q, d, n)
         strata = families(q, d, n, hlex_key, cap)
-        return cls(q, d, n, {x: _checked_size(x, members) for x, members in strata})
+        return cls(q, d, n, {x: _checked_size(x, space, members) for x, members in strata})
 
     def observed(self) -> list[int]:
         """Entry k counts the submodules of colength k."""
@@ -395,27 +452,38 @@ class Census:
         return rows
 
 
-def _checked_size(x: Config, members: list[SubmoduleBasis]) -> int:
+def _checked_size(x: Config, space: ModuleSpace, members: list[SubmoduleBasis]) -> int:
     """The number of members of stratum x, each checked independently of the generator.
 
-    Every member must be in reduced echelon form, T-stable, have leading
-    module x, and occur once; the checks read only the member's rows.  Since
-    a reduced basis is the submodule's canonical form and the leading module
-    is a function of the submodule, no submodule is counted twice and the
-    strata are disjoint too.  A failure raises InternalInvariantError.
+    Every member must lie in `space`, be in reduced echelon form, be
+    T-stable, have the pivot set P(x) = {a*d + (i-1) : x_i <= a < depth}, and
+    occur once.  P(x) is worked out once, from x and the depth alone; the
+    checks read only the member's rows.  The pivots of a T-stable subspace
+    fill a top range of levels on each seat, starting at its leading
+    level, so for a T-stable member the pivot test says exactly that its
+    leading module is x and its colength size(x).  Since a reduced basis
+    is the submodule's canonical form and the leading module is a function
+    of the submodule, no submodule is counted twice and the strata are
+    disjoint too.  A failure raises InternalInvariantError.
     """
+    pivots = _stratum_pivots(x, space.depth)
     for m in members:
-        # Reduced form comes first: the T-stability test reduces by the rows.
+        # Reduced form comes first: the T-stability test reads the pivot columns.
         if not m.is_reduced():
             raise InternalInvariantError(f"stratum {x.levels}: member {m.rows} is not reduced")
         if not m.is_t_stable():
             raise InternalInvariantError(f"stratum {x.levels}: member {m.rows} is not T-stable")
-        # The colength test comes first, so leading_module sees none beyond the window.
-        if m.codim != size(x) or leading_module(m) != x:
+        if m.space != space or m.pivot_positions() != pivots:
             raise InternalInvariantError(f"stratum {x.levels}: member {m.rows} lies outside it")
     if len(set(members)) != len(members):
         raise InternalInvariantError(f"stratum {x.levels}: a member occurs twice")
     return len(members)
+
+
+def _stratum_pivots(x: Config, depth: int) -> tuple[int, ...]:
+    """P(x), increasing: the flat positions a*d + i with x.levels[i] <= a < depth."""
+    d = x.d
+    return tuple(p for p in range(d * depth) if p // d >= x.levels[p % d])
 
 
 def _family_cells(x: Config, key: MonomialKey) -> list[list[int]]:
@@ -447,65 +515,82 @@ def _family(x: Config, space: ModuleSpace, key: MonomialKey) -> list[SubmoduleBa
     when the window truncates it, plus coefficients from F_q on the cells
     of `_family_cells(x, key)`.  The submodule is spanned by the T-powers of
     every generator up to its first zero one.  Under `hlex_key` each power
-    leads, with coefficient 1, at its own flat position, so the canonical
-    basis is one back-substitution of those rows; under `lex_key` the
-    height-order leads of the powers can collide, and the rows are
-    echelonized under `hlex_key`.
+    leads, with coefficient 1, at its own flat position, and those positions
+    are P(x) for every member; `_closure_plan` works out once per profile
+    the order that reduces the powers to the canonical basis, so a member
+    clears each power only where a shifted free cell lands on an earlier
+    pivot, and nothing is sorted.  Under `lex_key` the height-order leads
+    of the powers can collide, and the rows are echelonized under `hlex_key`.
     """
-    q, depth = space.q, space.depth
+    q, d, depth, dim = space.q, x.d, space.depth, space.dim
     # Per seat with a lead in the window, the flat positions of the lead and
     # of the free cells; a truncated generator is zero and spans nothing.
     gens = []
     for seat, (level, cells) in enumerate(zip(x.levels, _family_cells(x, key))):
         if level < depth:
-            gens.append((level * x.d + seat, cells))
+            gens.append((level * d + seat, cells))
         elif cells:
             # Unreachable: depth >= colength forces the cell list empty here.
             raise InternalInvariantError("free cells attached to a truncated leading monomial")
+    plan = _closure_plan(gens, d, depth) if key is hlex_key else None
+    zeros = (0,) * dim
     found = []
     for assign in itertools.product(range(q), repeat=sum(len(cells) for _, cells in gens)):
         values = iter(assign)
-        closure = []
+        vectors = []
         for lead, cells in gens:
-            vec = [0] * space.dim
+            vec = [0] * dim
             vec[lead] = 1
             for p in cells:
                 vec[p] = next(values)
-            # Each power is paired with its first nonzero position, T^k moving
-            # it k levels up; the power is zero once that leaves the window.
-            low = next(p for p, c in enumerate(vec) if c)
-            gen = tuple(vec)
-            for k in range(depth - low // x.d):
-                closure.append((low + k * x.d, gen))
-                gen = space.mul_by_t(gen)
-        if key is hlex_key:
-            found.append(SubmoduleBasis(space, _back_substitute(space, closure, key)))
+            vectors.append(tuple(vec))
+        if plan is not None:
+            rows: list[tuple[int, ...]] = []
+            for g, shift, earlier, landing in plan:
+                power = zeros[:shift] + vectors[g][: dim - shift]
+                if earlier:
+                    power = _reduce(q, map(rows.__getitem__, earlier), landing, power)
+                rows.append(power)
+            found.append(SubmoduleBasis(space, tuple(reversed(rows))))
         else:
-            found.append(SubmoduleBasis(space, echelonize(space, (gen for _, gen in closure))))
+            closure = []
+            for gen in vectors:
+                # A power is zero once its first nonzero position leaves the window.
+                low = next(p for p, c in enumerate(gen) if c)
+                for _ in range(depth - low // d):
+                    closure.append(gen)
+                    gen = space.mul_by_t(gen)
+            found.append(SubmoduleBasis(space, echelonize(space, closure)))
     return found
 
 
-def _back_substitute(
-    space: ModuleSpace, pairs: list[tuple[int, tuple[int, ...]]], key: MonomialKey
-) -> tuple[tuple[int, ...], ...]:
-    """The reduced echelon rows of (pivot, row) pairs whose pivots are distinct and 1.
+def _closure_plan(
+    gens: list[tuple[int, list[int]]], d: int, depth: int
+) -> list[tuple[int, int, list[int], list[int]]]:
+    """How to reduce the T-powers of hlex generators to reduced echelon rows.
 
-    A row's pivot is its lowest nonzero monomial under `key`.  Taken from
-    the highest pivot down, a row is cleared at the pivots of the rows
-    already done; those are zero at one another's pivots, so each clearing
-    leaves the others in place.  Rows come back sorted by pivot in `key`
-    order, which under `hlex_key` is flat order.
+    `gens` holds each generator's lead and free cells, all above the lead.
+    Power k of generator g leads at lead + k*d, and those leads are
+    distinct.  Taken from the highest lead down, each power needs clearing
+    only at the earlier leads that its shifted free cells land on: the rows
+    already done are zero at one another's leads and the power is zero at
+    every other one.  One entry per power, in that order: (g, the shift
+    k*d, the indices in that order of the rows to clear by, their leads).
     """
-    if key is hlex_key:  # hlex order is flat order
-        pairs = sorted(pairs, reverse=True)
-    else:
-        pairs = sorted(pairs, key=lambda pair: key(*divmod(pair[0], space.d)), reverse=True)
-    rows: list[tuple[int, ...]] = []
-    pivots: list[int] = []
-    for pivot, row in pairs:
-        rows.append(_reduce(space.q, rows, pivots, row))
-        pivots.append(pivot)
-    return tuple(reversed(rows))
+    order = sorted(
+        [
+            (lead + shift, g, shift)
+            for g, (lead, _) in enumerate(gens)
+            for shift in range(0, d * depth - lead, d)
+        ],
+        reverse=True,
+    )
+    index = {pivot: i for i, (pivot, _, _) in enumerate(order)}
+    plan = []
+    for _, g, shift in order:
+        landing = [c + shift for c in gens[g][1] if c + shift in index]
+        plan.append((g, shift, [index[p] for p in landing], landing))
+    return plan
 
 
 def families(

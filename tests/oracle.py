@@ -26,7 +26,10 @@ factor `BiPoly.geometric`.
 The census reference scans every reduced echelon form of every pivot set
 and tests T-stability by listing the span, so it shares nothing with
 `enumerate_submodules` but the basis value type `SubmoduleBasis`.
-`monomial_vector` builds the flat vector of one monomial of a window.
+`is_t_stable` is the row form of T-stability, the reference for the
+package's column form: each T-row of a reduced basis is reduced by every
+row and must vanish.  `monomial_vector` builds the flat vector of one
+monomial of a window.
 `family_cells` lists a family's free cells as slots under `hlex_order`
 or `lex_order`.  `lead` is the lead rule of a nonzero vector under a
 package monomial key, and `leading_profile` reads the per-seat leading
@@ -306,6 +309,27 @@ def _echelon_forms(q: int, dim: int):
                         row[c] = next(values)
                     rows.append(tuple(row))
                 yield tuple(rows)
+
+
+def is_t_stable(m: SubmoduleBasis) -> bool:
+    """Whether T maps the span of the reduced basis m into itself.
+
+    Each row's T-image, shifted d places up with the top level dropped, is
+    cleared at each row's pivot (its first nonzero position) by that row in
+    turn; it lies in the span exactly when nothing is left.
+    """
+    space = m.space
+    q, d, dim = space.q, space.d, space.dim
+    pivots = [next(p for p, c in enumerate(row) if c) for row in m.rows]
+    for row in m.rows:
+        vec = (0,) * d + row[: dim - d]
+        for other, p in zip(m.rows, pivots):
+            c = vec[p]
+            if c:
+                vec = tuple((a - c * b) % q for a, b in zip(vec, other))
+        if any(vec):
+            return False
+    return True
 
 
 def t_stable_subspaces(space) -> list[SubmoduleBasis]:

@@ -64,6 +64,16 @@ WIDE_GENS = GeneratorSet(3, (MultiIndex((1, 0, 0)),))
             lambda: SubmoduleBasis(ModuleSpace(2, 2, 2), ((1, 0),)),
             "row of length 2 in a window of dimension 4",
         ),
+        (
+            lambda: SubmoduleBasis(
+                ModuleSpace(2, 2, 2), ((1, 0, 0, 5), (0, 1, 0, 0), (0, 0, 1, 0))
+            ),
+            "row entries must lie in [0, 2), got (1, 0, 0, 5)",
+        ),
+        (
+            lambda: SubmoduleBasis(ModuleSpace(3, 1, 2), ((1, 0), (0, -1))),
+            "row entries must lie in [0, 3), got (0, -1)",
+        ),
     ],
     ids=[
         "product_formula",
@@ -79,6 +89,8 @@ WIDE_GENS = GeneratorSet(3, (MultiIndex((1, 0, 0)),))
         "echelonize-entry",
         "echelonize-negative",
         "SubmoduleBasis-length",
+        "SubmoduleBasis-entry",
+        "SubmoduleBasis-negative",
     ],
 )
 def test_out_of_domain_inputs_are_refused(build, message):

@@ -6,7 +6,9 @@ all-pivot-sets scan `oracle.t_stable_subspaces`, and the brute scan
 `brute_strata` that the stratum walk `Census.walk` is pinned against.  The
 family cells and families, all in flat positions, are pinned to references
 built from `oracle.Slot`, and the leading modules to the span-listing
-`oracle.leading_profile`.
+`oracle.leading_profile`.  The column form of T-stability is pinned to the
+row reduction `oracle.is_t_stable` on every reduced echelon basis of small
+windows.
 """
 
 import itertools
@@ -278,6 +280,23 @@ class TestEnumerateSubmodules:
             enumerate_submodules(2, 3, 3, cap=2**8)
 
 
+class TestTStability:
+    @pytest.mark.parametrize("q,d,depth", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])
+    def test_column_form_equals_the_row_reduction(self, q, d, depth):
+        # Every reduced echelon basis of the window, under every pivot set,
+        # not only the profiles a T-stable subspace can carry.
+        space = ModuleSpace(q, d, depth)
+        seen = set()
+        for k in range(space.dim + 1):
+            for pivots in itertools.combinations(range(space.dim), k):
+                for rows in submodules._echelon_candidates(space, pivots):
+                    m = SubmoduleBasis(space, rows)
+                    expected = oracle.is_t_stable(m)
+                    assert m.is_t_stable() == expected, rows
+                    seen.add(expected)
+        assert seen == {False, True}
+
+
 def brute_census(q, d, n):
     strata = brute_strata(q, d, n)
     return Census(q, d, n, {x: len(group) for x, group in strata.items()})
@@ -506,6 +525,7 @@ class TestWalk:
             ("duplicate", "occurs twice"),
             ("not_t_stable", "is not T-stable"),
             ("wrong_stratum", "lies outside it"),
+            ("swapped_levels", "lies outside it"),
             ("not_reduced", "is not reduced"),
         ],
     )
@@ -515,6 +535,10 @@ class TestWalk:
         def faulty(x, space, key):
             if fault == "wrong_stratum":
                 return family(Config.origin(x.d), space, key)
+            if fault == "swapped_levels":
+                # Reduced, T-stable and of the right colength: only the
+                # pivot set tells stratum (0, 1) from (1, 0).
+                return family(Config(x.levels[::-1]), space, key)
             members = family(x, space, key)
             if fault == "duplicate":
                 return members + members[:1]

@@ -2,9 +2,11 @@
 """Capture the CLI's output on a fixed list of invocations, for byte-identity checks.
 
 Each invocation runs in process through `spiralshift.cli.main`, once as a
-table and once with `--json`.  One JSON line per run goes to OUT: the argv,
-the exit code, stdout with every `elapsed_s` value blanked to null, and
-stderr.  Two checkouts give the same output when their captures are equal:
+table and once with `--json`; each entry of the argparse surface (help,
+usage and argument errors) runs once, as listed.  One JSON line per run
+goes to OUT: the argv, the exit code, stdout with every `elapsed_s` value
+blanked to null, and stderr.  Two checkouts give the same output when
+their captures are equal:
 
     PYTHONPATH=src python3 scripts/capture_cli.py before.jsonl   # in one checkout
     PYTHONPATH=src python3 scripts/capture_cli.py after.jsonl    # in the other
@@ -35,6 +37,20 @@ INVOCATIONS = [
     ["count", "--q", "4", "--d", "2", "--N", "2"],
 ]
 
+# The argparse surface: help, usage and argument errors, each run once as
+# given (argparse answers them before any --json could matter).
+ARGPARSE_SURFACE = [
+    ["--help"],
+    ["bogus"],
+    ["count"],
+    ["count", "-h"],
+    ["series", "-h"],
+    ["orbit", "-h"],
+    ["count", "--q", "x", "--d", "3", "--N", "3"],
+    ["count", "--q", "2", "--d", "3", "--N", "3", "extra"],
+    ["count", "--cap", "-1", "--q", "2", "--d", "2", "--N", "2"],
+]
+
 ELAPSED = re.compile(r'("elapsed_s": )[^,\n}]+')
 
 
@@ -55,9 +71,9 @@ def main_entry() -> None:
     parser.add_argument("out", metavar="OUT", help="file to write the JSON lines to")
     args = parser.parse_args()
     with open(args.out, "w") as fh:
-        for argv in INVOCATIONS:
-            for run in (argv, argv + ["--json"]):
-                fh.write(json.dumps(capture(run)) + "\n")
+        runs = [run for argv in INVOCATIONS for run in (argv, argv + ["--json"])]
+        for run in runs + ARGPARSE_SURFACE:
+            fh.write(json.dumps(capture(run)) + "\n")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Command-line surface: operators, statistics, series, censuses, verification.
 
 Each command returns what it found; `main` times it and emits the table or
-the `--json` record.  The exhaustive commands pass `--cap` to the library,
-which counts their work and refuses past it.  Exit codes: 0 success,
+the `--json` record.  `main` builds only the subcommand that its first
+argument names; top-level `--help`, an unknown command or none get the
+full parser.  The exhaustive commands pass `--cap` to the library, which
+counts their work and refuses past it.  Exit codes: 0 success,
 2 malformed input or an unwritable --out, 3 precondition violation,
 4 feasibility cap exceeded, 5 verification failure.
 """
@@ -201,42 +203,37 @@ def nonnegative(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spiralshift",
-        description="Spiral shifting operators, their generating functions, "
-        "and the submodule census they explain.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-    capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument(
+def add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
+
+
+def add_capped_output(p: argparse.ArgumentParser) -> None:
+    add_output(p)
+    p.add_argument(
         "--cap",
         type=nonnegative,
         default=DEFAULT_CAP,
         help="most configurations, generator combinations or submodules the exhaustive "
         "enumeration may visit, counted before it starts; the closed forms ignore it",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("apply", parents=[common], help="apply one shifting operator")
+
+def apply_args(p: argparse.ArgumentParser) -> None:
+    add_output(p)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--x", required=True, help="comma-separated levels")
-    p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("decompose", parents=[common], help="exponents reaching x from the origin")
+
+def config_args(p: argparse.ArgumentParser) -> None:
+    add_output(p)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--x", required=True)
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("stats", parents=[common], help="size and weight of a configuration")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--x", required=True)
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("series", parents=[common, capped], help="the size/weight census series")
+def series_args(p: argparse.ArgumentParser) -> None:
+    add_capped_output(p)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--tcut", type=int, required=True)
     p.add_argument(
@@ -244,11 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("product", "configs", "recurrence"),
         default="product",
     )
-    p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser(
-        "orbit", parents=[common, capped], help="orbit census under chosen generators"
-    )
+
+def orbit_args(p: argparse.ArgumentParser) -> None:
+    add_capped_output(p)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--x0", required=True)
     p.add_argument("--gens", nargs="+", required=True, help="comma-separated exponent tuples")
@@ -258,29 +254,73 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the product formula; requires independent generators",
     )
-    p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("count", parents=[common, capped], help="submodule totals by colength")
+
+def count_args(p: argparse.ArgumentParser) -> None:
+    add_capped_output(p)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--N", type=nonnegative, required=True)
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("strata", parents=[common, capped], help="stratum table at one colength")
+
+def strata_args(p: argparse.ArgumentParser) -> None:
+    add_capped_output(p)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=nonnegative, required=True)
-    p.set_defaults(func=cmd_strata)
 
-    p = sub.add_parser("verify", parents=[common], help="run the verification suite")
+
+def verify_args(p: argparse.ArgumentParser) -> None:
+    add_output(p)
     p.add_argument("--profile", choices=("quick", "full"), default="quick")
-    p.set_defaults(func=cmd_verify)
 
+
+# Per subcommand, in the order `--help` lists them: its help line, the
+# function that adds its arguments, and the command itself.
+COMMANDS = {
+    "apply": ("apply one shifting operator", apply_args, cmd_apply),
+    "decompose": ("exponents reaching x from the origin", config_args, cmd_decompose),
+    "stats": ("size and weight of a configuration", config_args, cmd_stats),
+    "series": ("the size/weight census series", series_args, cmd_series),
+    "orbit": ("orbit census under chosen generators", orbit_args, cmd_orbit),
+    "count": ("submodule totals by colength", count_args, cmd_count),
+    "strata": ("stratum table at one colength", strata_args, cmd_strata),
+    "verify": ("run the verification suite", verify_args, cmd_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser: every subcommand, or only `command` when one is named.
+
+    Building one subcommand skips the arguments of the other seven.  Its
+    top-level usage still names them all, so an error the top-level parser
+    reports reads the same from either build.
+    """
+    parser = argparse.ArgumentParser(
+        prog="spiralshift",
+        description="Spiral shifting operators, their generating functions, "
+        "and the submodule census they explain.",
+    )
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = list(COMMANDS)
+    else:
+        # The metavar is the one argparse writes from the full set of choices;
+        # on the full parser it would also rename the argument in its errors.
+        metavar = "{" + ",".join(COMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+        names = [command]
+    for name in names:
+        help_line, add_arguments, func = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:

@@ -46,10 +46,15 @@ it, and only then yields them one profile at a time.
 rows alone: reduced echelon form, T-stability, the pivot set P(x),
 worked out once per stratum from x and the depth, and no repeats.  For a
 T-stable member the pivot set says the leading module is x and the
-colength size(x).  It keeps only the stratum sizes; the colength totals and
-the stratum sizes, with their predictions, are read off it.  The scan
+colength size(x).  Both basis checks read columns, and all they need of
+a basis besides its columns is its pivots, so they are planned once per
+pivot set (`_PivotFrame`): the walk plans them once per stratum, and the
+scan once per pivot set, and each member is transposed once.  The walk
+keeps only the stratum sizes; the colength totals and the stratum sizes,
+with their predictions, are read off it.  The scan
 `enumerate_submodules`, grouped by `brute_strata`, is the independent
-oracle the walk is tested against.
+oracle the walk is tested against; it builds a `SubmoduleBasis` only for
+the T-stable candidates.
 Every enumerator counts its exact work (members or candidates) before it
 starts and refuses past `cap`.
 """
@@ -249,15 +254,53 @@ class SubmoduleBasis:
 
     def is_reduced(self) -> bool:
         """Pivots distinct and increasing, each 1 and the only nonzero entry of its column."""
-        rows, pivots = self.rows, self._pivots
+        pivots = self._pivots
         if any(a >= b for a, b in zip(pivots, pivots[1:])) or self.space.dim in pivots:
             return False
-        columns = list(zip(*rows))
-        zeros = len(rows) - 1
-        return all(row[p] == 1 and columns[p].count(0) == zeros for row, p in zip(rows, pivots))
+        frame = _PivotFrame(self.space, pivots)
+        return frame.reduced(frame.columns(self.rows))
 
     def is_t_stable(self) -> bool:
-        """Whether T maps the span into itself; the basis must be reduced.
+        """Whether T maps the span into itself; the basis must be reduced."""
+        frame = _PivotFrame(self.space, self._pivots)
+        return frame.t_stable(frame.columns(self.rows))
+
+
+class _PivotFrame:
+    """The basis checks for rows with given pivots, worked out once for the pivots.
+
+    Both checks read the basis column by column, from one transpose
+    (`columns`), and need nothing of the rows but their pivots, so a
+    stratum, or a scan of one pivot set, builds one frame and checks every
+    member against it.  The pivots must be distinct positions of the
+    window, one per row.
+    """
+
+    def __init__(self, space: ModuleSpace, pivots: tuple[int, ...]) -> None:
+        q, d, dim, r = space.q, space.d, space.dim, len(pivots)
+        zero = (0,) * (r + 1)
+        self.q, self.dim, self.zero, self.pivots = q, dim, zero, pivots
+        rank = {p: i for i, p in enumerate(pivots)}
+        # Column p_i of a reduced basis is the unit vector at row i.
+        self.units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(r)]
+        # Entry k of column f moved by T is its entry at the row whose pivot
+        # is p_k + d, or the 0 at index r when there is none; entry r stays 0.
+        self.up = [rank.get(p + d, r) for p in pivots] + [r]
+        # The rows whose pivot lies a level above a free column.
+        self.lows = [(i, p - d) for i, p in enumerate(pivots) if p >= d and p - d not in rank]
+        # Each free column, with the column a level below it (None on level 0).
+        self.free = [(f, f - d if f >= d else None) for f in range(dim) if f not in rank]
+
+    def columns(self, rows: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+        """The columns of the rows, each with a 0 appended at index r, the row count."""
+        return list(zip(*rows, (0,) * self.dim))
+
+    def reduced(self, columns: list[tuple[int, ...]]) -> bool:
+        """Whether each pivot column is the unit vector at its row."""
+        return list(map(columns.__getitem__, self.pivots)) == self.units
+
+    def t_stable(self, columns: list[tuple[int, ...]]) -> bool:
+        """Whether T maps the span of a reduced basis with these pivots into itself.
 
         A vector v lies in the span of a reduced basis exactly when it is
         the sum of the rows weighted by its entries at their pivots.  For
@@ -269,24 +312,15 @@ class SubmoduleBasis:
         rows only move the entries of column f to other rows; the few rows
         i whose p_i - d is a free column are summed where they are nonzero.
         """
-        q, d, rows, pivots = self.space.q, self.space.d, self.rows, self._pivots
-        r = len(rows)
-        columns = list(zip(*rows))
-        rank = {p: i for i, p in enumerate(pivots)}
-        # Entry k of the moved column is its entry at the row whose pivot is
-        # p_k + d, or the 0 appended at index r when there is none.
-        up = [rank.get(p + d, r) for p in pivots]
-        lows = [(i, p - d) for i, p in enumerate(pivots) if p >= d and p - d not in rank]
-        zero = (0,) * r
-        for f, column in enumerate(columns):
-            if f in rank:
-                continue
-            total = tuple(map((column + (0,)).__getitem__, up))
+        q, up, lows, zero = self.q, self.up, self.lows, self.zero
+        for f, below in self.free:
+            column = columns[f]
+            total = tuple(map(column.__getitem__, up))
             for i, source in lows:
                 c = column[i]
                 if c:
                     total = tuple([(a + c * b) % q for a, b in zip(total, columns[source])])
-            if total != (columns[f - d] if f >= d else zero):
+            if total != (zero if below is None else columns[below]):
                 return False
         return True
 
@@ -384,10 +418,10 @@ def enumerate_submodules(
     _check_work((q ** sum(map(len, _echelon_cells(space, p))) for p in _pivot_sets(space)), cap)
     found = []
     for pivots in _pivot_sets(space):
+        frame = _PivotFrame(space, pivots)
         for rows in _echelon_candidates(space, pivots):
-            basis = SubmoduleBasis(space, rows)
-            if basis.is_t_stable():
-                found.append(basis)
+            if frame.t_stable(frame.columns(rows)):
+                found.append(SubmoduleBasis(space, rows))
     found.sort(key=lambda m: (m.codim, m.rows))
     return found
 
@@ -464,16 +498,29 @@ def _checked_size(x: Config, space: ModuleSpace, members: list[SubmoduleBasis]) 
     leading module is x and its colength size(x).  Since a reduced basis
     is the submodule's canonical form and the leading module is a function
     of the submodule, no submodule is counted twice and the strata are
-    disjoint too.  A failure raises InternalInvariantError.
+    disjoint too.  The checks are planned once per stratum, in the frame of
+    P(x), and read each member from one transpose of its rows.  A member
+    whose space or pivots are not the stratum's has failed already; its
+    own basis checks name the first fault, in the same order.  A failure
+    raises InternalInvariantError.
     """
     pivots = _stratum_pivots(x, space.depth)
+    frame = _PivotFrame(space, pivots)
     for m in members:
+        inside = m.space == space and m.pivot_positions() == pivots
         # Reduced form comes first: the T-stability test reads the pivot columns.
-        if not m.is_reduced():
+        if inside:
+            columns = frame.columns(m.rows)
+            reduced = frame.reduced(columns)
+            stable = reduced and frame.t_stable(columns)
+        else:
+            reduced = m.is_reduced()
+            stable = reduced and m.is_t_stable()
+        if not reduced:
             raise InternalInvariantError(f"stratum {x.levels}: member {m.rows} is not reduced")
-        if not m.is_t_stable():
+        if not stable:
             raise InternalInvariantError(f"stratum {x.levels}: member {m.rows} is not T-stable")
-        if m.space != space or m.pivot_positions() != pivots:
+        if not inside:
             raise InternalInvariantError(f"stratum {x.levels}: member {m.rows} lies outside it")
     if len(set(members)) != len(members):
         raise InternalInvariantError(f"stratum {x.levels}: a member occurs twice")

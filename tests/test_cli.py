@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism, serialization."""
 
+import argparse
 import importlib.util
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from spiralshift import Config, brute_strata
+from spiralshift import Config, brute_strata, cli
 from spiralshift.cli import main
 
 
@@ -413,6 +414,45 @@ def test_bad_flag_exits_2(capsys):
     capsys.readouterr()
 
 
+def subparsers(parser):
+    """The subcommand parsers of a CLI parser, by name."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_named_build_holds_only_that_subcommand():
+    # The bench's setup builds the full parser, all eight subcommands.
+    assert list(subparsers(cli.build_parser())) == [
+        "apply", "decompose", "stats", "series", "orbit", "count", "strata", "verify"
+    ]
+    for name in cli.COMMANDS:
+        assert list(subparsers(cli.build_parser(name))) == [name]
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_named_build_reads_like_the_full_parser(name):
+    full, lean = cli.build_parser(), cli.build_parser(name)
+    assert subparsers(lean)[name].format_help() == subparsers(full)[name].format_help()
+    assert lean.format_usage() == full.format_usage()
+
+
+def test_main_builds_only_the_named_subcommand(monkeypatch, capsys):
+    built, build = [], cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert main(["stats", "--d", "2", "--x", "1,0"]) == 0
+    for argv in (["--help"], ["bogus"], []):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == ["stats", None, None, None]
+    # The full parser names the subcommand argument by its dest in errors.
+    assert "argument command: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "result.txt"
     code, out, _ = run(
@@ -608,3 +648,11 @@ def test_capture_script_records_code_streams_and_blanked_timing():
     malformed = capture(["count", "--q", "2", "--d", "2", "--N", "-1"])
     assert (malformed["code"], malformed["stdout"]) == (2, "")
     assert "argument --N: must be nonnegative" in malformed["stderr"]
+
+
+def test_capture_script_covers_the_argparse_surface():
+    script = load_capture_script()
+    records = [script.capture(argv) for argv in script.ARGPARSE_SURFACE]
+    assert [r["code"] for r in records] == [0, 2, 2, 0, 0, 0, 2, 2, 2]
+    assert all(r["stdout"].startswith("usage: spiralshift") for r in records if r["code"] == 0)
+    assert all(r["stderr"].startswith("usage: spiralshift") for r in records if r["code"])

@@ -527,9 +527,14 @@ class TestWalk:
             ("wrong_stratum", "lies outside it"),
             ("swapped_levels", "lies outside it"),
             ("not_reduced", "is not reduced"),
+            ("flipped_free_entry", "is not T-stable"),
+            ("unordered_rows", "is not reduced"),
         ],
     )
     def test_member_guards_fire(self, monkeypatch, fault, message):
+        # A member with the stratum's pivots is checked in the stratum's
+        # frame (not_reduced, flipped_free_entry); any other member by its
+        # own basis methods, which name the same first fault.
         family = submodules._family
 
         def faulty(x, space, key):
@@ -544,11 +549,26 @@ class TestWalk:
                 return members + members[:1]
             q = space.q
             if fault == "not_reduced":
-                # The first stratum is the whole module: keep its span, with
-                # row 0 replaced by row 0 + row 1.
+                # The first stratum is the whole module: keep its span and its
+                # pivots, with row 0 replaced by row 0 + row 1.
                 rows = members[0].rows
                 row = tuple((a + b) % q for a, b in zip(rows[0], rows[1]))
                 return [SubmoduleBasis(space, (row,) + rows[1:])] + members[1:]
+            if fault == "unordered_rows":
+                # The whole module again, its rows in decreasing pivot order.
+                return [SubmoduleBasis(space, members[0].rows[::-1])] + members[1:]
+            if fault == "flipped_free_entry":
+                if x != Config((0, 2)):
+                    return members
+                # Stratum (0, 2) has W = 2 and pivots u1, Tu1: its members are
+                # rows (1, a, 0, b) and (0, 0, 1, a).  Flipping the last entry
+                # keeps the pivots and the reduced form, but T·row 0 leaves the span.
+                rows = members[0].rows
+                row = rows[1][:-1] + ((rows[1][-1] + 1) % q,)
+                flipped = SubmoduleBasis(space, (rows[0], row))
+                assert flipped.pivot_positions() == members[0].pivot_positions()
+                assert flipped.is_reduced() and not oracle.is_t_stable(flipped)
+                return [flipped] + members[1:]
             return [SubmoduleBasis(space, echelonize(space, [monomial_vector(space, Slot(1, 0))]))]
 
         monkeypatch.setattr(submodules, "_family", faulty)

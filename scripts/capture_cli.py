@@ -26,7 +26,12 @@ CENSUS_GRIDS = [
     (2, 3, 3), (2, 4, 2), (2, 2, 5), (3, 2, 4), (3, 3, 2), (2, 2, 0), (2, 2, 8), (3, 3, 3)
 ]
 STRATA_GRIDS = [(2, 3, 3), (3, 2, 3)]
+SERIES_METHODS = ["product", "configs", "recurrence"]
+# Four generators of N^3: no free basis, so the closed form is refused.
+DEPENDENT = ["1,0,0", "0,1,0", "0,0,1", "1,1,0"]
 
+# Every subcommand, with refusals that exit 2 (bad input), 3 (no free
+# basis) and 4 (past the cap).
 INVOCATIONS = [
     ["verify", "--profile", "quick"],
     ["verify", "--profile", "full"],
@@ -35,6 +40,15 @@ INVOCATIONS = [
     ["count", "--q", "2", "--d", "3", "--N", "3", "--cap", "197"],
     ["count", "--q", "2", "--d", "3", "--N", "3", "--cap", "198"],
     ["count", "--q", "4", "--d", "2", "--N", "2"],
+    ["apply", "--d", "5", "--j", "3", "--x", "0,2,1,0,1"],
+    ["decompose", "--d", "2", "--x", "1000000000,0"],
+    ["stats", "--d", "5", "--x", "0,2,1,0,1"],
+    *(["series", "--d", "3", "--tcut", "6", "--method", m] for m in SERIES_METHODS),
+    ["series", "--d", "6", "--tcut", "28", "--method", "configs"],
+    ["orbit", "--d", "2", "--x0", "0,0", "--gens", "1,1", "--tcut", "8"],
+    ["orbit", "--d", "2", "--x0", "0,0", "--gens", "1,1", "--tcut", "8", "--closed-form"],
+    ["orbit", "--d", "3", "--x0", "0,0,0", "--gens", *DEPENDENT, "--closed-form"],
+    ["orbit", "--d", "3", "--x0", "0,0,0", "--gens", *DEPENDENT, "--tcut", "100"],
 ]
 
 # The argparse surface: help, usage and argument errors, each run once as

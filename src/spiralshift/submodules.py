@@ -27,16 +27,16 @@ generator of seat i leads at level x_i and carries free coefficients from
 F_q on the monomials of the other seats that lie above its lead in the
 order and below their own seat's lead.  Under `hlex_key` that family is
 the stratum of x, of q**W(x) members; under `lex_key` it is the group of
-Hermite matrices with diagonal x.  A member is spanned by the T-powers of
-its generators up to the first zero one.  Under `hlex_key` each power
-leads at its own flat position with coefficient 1, and those leads make
-up the same pivot set P(x) = {a*d + (i-1) : x_i <= a < depth} for every
-member, so the stratum is planned once: the powers in order from the
-highest pivot down, each with the earlier pivots its shifted free cells
-land on.  A member then builds its d generators and clears each power at
-those pivots only, with nothing sorted or scanned.  Under `lex_key` the
-height-order leads can collide, and the powers are echelonized.  Every
-elimination step is one `_reduce`.
+Hermite matrices with diagonal x.  One filler, `_fillings`, builds the
+members' generators, and one T-power list per profile, sliced from them
+(`ModuleSpace` has no T of its own), spans each member.  Under `hlex_key`
+each power leads at its own flat position with coefficient 1, and those
+make up the same pivot set P(x) = {a*d + (i-1) : x_i <= a < depth} for
+every member, so the stratum is planned once: the powers from the highest
+pivot down, each with the earlier pivots its shifted free cells land on.
+A member then clears each power at those pivots only, with nothing sorted
+or scanned.  Under `lex_key` the height-order leads can collide, and the
+powers are echelonized.  Every elimination step is one `_reduce`.
 
 `families(q, d, n, key)` is the one capped path to the families: it
 builds the one window of depth n, which validates q, d and n, sums the
@@ -53,10 +53,10 @@ scan once per pivot set, and each member is transposed once.  The walk
 keeps only the stratum sizes; the colength totals and the stratum sizes,
 with their predictions, are read off it.  The scan
 `enumerate_submodules`, grouped by `brute_strata`, is the independent
-oracle the walk is tested against; it builds a `SubmoduleBasis` only for
-the T-stable candidates.
-Every enumerator counts its exact work (members or candidates) before it
-starts and refuses past `cap`.
+oracle the walk is tested against: it fills the free cells of each P(x)
+with the same filler and builds a `SubmoduleBasis` only for the T-stable
+candidates.  Every enumerator counts its exact work in `_check_work`
+before it starts and refuses past `cap`.
 """
 
 from __future__ import annotations
@@ -128,10 +128,6 @@ class ModuleSpace:
     @property
     def dim(self) -> int:
         return self.d * self.depth
-
-    def mul_by_t(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        """Shift every seat one level up; the top level falls off."""
-        return ((0,) * self.d + vec)[: len(vec)]
 
 
 def echelonize(
@@ -351,17 +347,35 @@ def leading_module(m: SubmoduleBasis, key: MonomialKey = hlex_key) -> Config:
     return Config(lows)
 
 
-def _check_work(work: Iterable[int], cap: int) -> None:
+def _check_work(q: int, cell_lists: Iterable[list[list[int]]], cap: int) -> None:
     """Refuse before any enumeration when the summed work exceeds cap.
 
+    Each entry, the free cells of every generator, costs q to their count.
     Summing stops at the first partial sum past cap, so the check itself
-    looks at no more than cap + 1 items.
+    looks at no more than cap + 1 entries.
     """
     total = 0
-    for amount in work:
-        total += amount
+    for cells in cell_lists:
+        total += q ** sum(map(len, cells))
         if total > cap:
             raise FeasibilityError(f"submodules to build exceed the cap {cap}")
+
+
+def _fillings(q: int, dim: int, gens: list[tuple[int, list[int]]]) -> Iterator[tuple]:
+    """Per filling of all the cells from F_q, one vector per (lead, cells) of `gens`.
+
+    A vector is 1 at its lead, the filling's values on its cells, 0 elsewhere.
+    """
+    for assign in itertools.product(range(q), repeat=sum(len(cells) for _, cells in gens)):
+        values = iter(assign)
+        vectors = []
+        for lead, cells in gens:
+            vec = [0] * dim
+            vec[lead] = 1
+            for p in cells:
+                vec[p] = next(values)
+            vectors.append(tuple(vec))
+        yield tuple(vectors)
 
 
 def _echelon_cells(space: ModuleSpace, pivots: tuple[int, ...]) -> list[list[int]]:
@@ -370,56 +384,27 @@ def _echelon_cells(space: ModuleSpace, pivots: tuple[int, ...]) -> list[list[int
     return [[c for c in range(p + 1, space.dim) if c not in pivot_set] for p in pivots]
 
 
-def _echelon_candidates(
-    space: ModuleSpace, pivots: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All reduced echelon row tuples with the given increasing height-order pivots."""
-    free = _echelon_cells(space, pivots)
-    for assign in itertools.product(range(space.q), repeat=sum(map(len, free))):
-        values = iter(assign)
-        rows = []
-        for p, cells in zip(pivots, free):
-            row = [0] * space.dim
-            row[p] = 1
-            for c in cells:
-                row[c] = next(values)
-            rows.append(tuple(row))
-        yield tuple(rows)
-
-
-def _pivot_sets(space: ModuleSpace) -> Iterator[tuple[int, ...]]:
-    """Height-order pivot positions, increasing, of every profile a T-stable subspace can carry.
-
-    Multiplying by T pushes a vector's lowest monomial one level up in the
-    same seat, so the pivot levels of a T-stable subspace fill a top range
-    of levels in each seat.
-    """
-    d = space.d
-    for profile in itertools.product(range(space.depth + 1), repeat=d):
-        yield tuple(
-            level * d + seat
-            for level in range(space.depth)
-            for seat in range(d)
-            if level >= profile[seat]
-        )
-
-
 def enumerate_submodules(
     q: int, d: int, depth: int, cap: int = DEFAULT_CAP
 ) -> list[SubmoduleBasis]:
     """Every T-stable subspace of the width-d, depth-N window, canonical form.
 
-    Only the pivot profiles a T-stable subspace can carry are scanned; the
-    tests compare against a scan of every pivot set.  The candidates
-    scanned, q to the free-cell count summed over those profiles, may not
-    exceed `cap`.  Output is sorted.
+    Only the pivot sets a T-stable subspace can carry, P(x) for levels x
+    from 0 to the depth, are scanned; the tests compare against a scan of
+    every pivot set.  The candidates scanned, q to the free-cell count
+    summed over those sets, may not exceed `cap`.  Output is sorted.
     """
     space = ModuleSpace(q, d, depth)
-    _check_work((q ** sum(map(len, _echelon_cells(space, p))) for p in _pivot_sets(space)), cap)
+
+    def pivot_sets() -> Iterator[tuple[int, ...]]:
+        return (_stratum_pivots(x, depth) for x in itertools.product(range(depth + 1), repeat=d))
+
+    _check_work(q, (_echelon_cells(space, pivots) for pivots in pivot_sets()), cap)
     found = []
-    for pivots in _pivot_sets(space):
+    for pivots in pivot_sets():
         frame = _PivotFrame(space, pivots)
-        for rows in _echelon_candidates(space, pivots):
+        gens = list(zip(pivots, _echelon_cells(space, pivots)))
+        for rows in _fillings(q, space.dim, gens):
             if frame.t_stable(frame.columns(rows)):
                 found.append(SubmoduleBasis(space, rows))
     found.sort(key=lambda m: (m.codim, m.rows))
@@ -504,7 +489,7 @@ def _checked_size(x: Config, space: ModuleSpace, members: list[SubmoduleBasis]) 
     own basis checks name the first fault, in the same order.  A failure
     raises InternalInvariantError.
     """
-    pivots = _stratum_pivots(x, space.depth)
+    pivots = _stratum_pivots(x.levels, space.depth)
     frame = _PivotFrame(space, pivots)
     for m in members:
         inside = m.space == space and m.pivot_positions() == pivots
@@ -527,10 +512,10 @@ def _checked_size(x: Config, space: ModuleSpace, members: list[SubmoduleBasis]) 
     return len(members)
 
 
-def _stratum_pivots(x: Config, depth: int) -> tuple[int, ...]:
-    """P(x), increasing: the flat positions a*d + i with x.levels[i] <= a < depth."""
-    d = x.d
-    return tuple(p for p in range(d * depth) if p // d >= x.levels[p % d])
+def _stratum_pivots(levels: tuple[int, ...], depth: int) -> tuple[int, ...]:
+    """P(x) for x = levels, increasing: the flat positions a*d + i with levels[i] <= a < depth."""
+    d = len(levels)
+    return tuple(p for p in range(d * depth) if p // d >= levels[p % d])
 
 
 def _family_cells(x: Config, key: MonomialKey) -> list[list[int]]:
@@ -561,13 +546,14 @@ def _family(x: Config, space: ModuleSpace, key: MonomialKey) -> list[SubmoduleBa
     Seat i's generator is its leading monomial (seat i, level x_i), dropped
     when the window truncates it, plus coefficients from F_q on the cells
     of `_family_cells(x, key)`.  The submodule is spanned by the T-powers of
-    every generator up to its first zero one.  Under `hlex_key` each power
-    leads, with coefficient 1, at its own flat position, and those positions
-    are P(x) for every member; `_closure_plan` works out once per profile
-    the order that reduces the powers to the canonical basis, so a member
-    clears each power only where a shifted free cell lands on an earlier
-    pivot, and nothing is sorted.  Under `lex_key` the height-order leads
-    of the powers can collide, and the rows are echelonized under `hlex_key`.
+    every generator, listed once per profile up to the last in the window.
+    Under `hlex_key` each power leads, with coefficient 1, at its own flat
+    position, and those positions are P(x) for every member; `_closure_plan`
+    sorts the powers once per profile into the order that reduces them to
+    the canonical basis, so a member clears each power only where a shifted
+    free cell lands on an earlier pivot.  Under `lex_key` the height-order
+    leads of the powers can collide, and the rows are echelonized under
+    `hlex_key`, which drops the powers a filling makes zero.
     """
     q, d, depth, dim = space.q, x.d, space.depth, space.dim
     # Per seat with a lead in the window, the flat positions of the lead and
@@ -579,18 +565,16 @@ def _family(x: Config, space: ModuleSpace, key: MonomialKey) -> list[SubmoduleBa
         elif cells:
             # Unreachable: depth >= colength forces the cell list empty here.
             raise InternalInvariantError("free cells attached to a truncated leading monomial")
-    plan = _closure_plan(gens, d, depth) if key is hlex_key else None
+    # Each generator's T-powers, as (g, shift), until its lowest cell leaves the window.
+    powers = [
+        (g, shift)
+        for g, (lead, cells) in enumerate(gens)
+        for shift in range(0, dim - min([lead, *cells]), d)
+    ]
+    plan = _closure_plan(gens, powers) if key is hlex_key else None
     zeros = (0,) * dim
     found = []
-    for assign in itertools.product(range(q), repeat=sum(len(cells) for _, cells in gens)):
-        values = iter(assign)
-        vectors = []
-        for lead, cells in gens:
-            vec = [0] * dim
-            vec[lead] = 1
-            for p in cells:
-                vec[p] = next(values)
-            vectors.append(tuple(vec))
+    for vectors in _fillings(q, dim, gens):
         if plan is not None:
             rows: list[tuple[int, ...]] = []
             for g, shift, earlier, landing in plan:
@@ -600,38 +584,26 @@ def _family(x: Config, space: ModuleSpace, key: MonomialKey) -> list[SubmoduleBa
                 rows.append(power)
             found.append(SubmoduleBasis(space, tuple(reversed(rows))))
         else:
-            closure = []
-            for gen in vectors:
-                # A power is zero once its first nonzero position leaves the window.
-                low = next(p for p, c in enumerate(gen) if c)
-                for _ in range(depth - low // d):
-                    closure.append(gen)
-                    gen = space.mul_by_t(gen)
+            closure = [zeros[:shift] + vectors[g][: dim - shift] for g, shift in powers]
             found.append(SubmoduleBasis(space, echelonize(space, closure)))
     return found
 
 
 def _closure_plan(
-    gens: list[tuple[int, list[int]]], d: int, depth: int
+    gens: list[tuple[int, list[int]]], powers: list[tuple[int, int]]
 ) -> list[tuple[int, int, list[int], list[int]]]:
     """How to reduce the T-powers of hlex generators to reduced echelon rows.
 
-    `gens` holds each generator's lead and free cells, all above the lead.
-    Power k of generator g leads at lead + k*d, and those leads are
-    distinct.  Taken from the highest lead down, each power needs clearing
-    only at the earlier leads that its shifted free cells land on: the rows
-    already done are zero at one another's leads and the power is zero at
-    every other one.  One entry per power, in that order: (g, the shift
-    k*d, the indices in that order of the rows to clear by, their leads).
+    `gens` holds each generator's lead and free cells, all above the lead,
+    and `powers` each nonzero power as (g, shift).  The power of generator
+    g shifted by k*d leads at lead + k*d, and those leads are distinct.
+    Taken from the highest lead down, each power needs clearing only at the
+    earlier leads that its shifted free cells land on: the rows already
+    done are zero at one another's leads and the power is zero at every
+    other one.  One entry per power, in that order: (g, the shift, the
+    indices in that order of the rows to clear by, their leads).
     """
-    order = sorted(
-        [
-            (lead + shift, g, shift)
-            for g, (lead, _) in enumerate(gens)
-            for shift in range(0, d * depth - lead, d)
-        ],
-        reverse=True,
-    )
+    order = sorted([(gens[g][0] + shift, g, shift) for g, shift in powers], reverse=True)
     index = {pivot: i for i, (pivot, _, _) in enumerate(order)}
     plan = []
     for _, g, shift in order:
@@ -659,6 +631,6 @@ def families(
     def profiles() -> Iterator[Config]:
         return (x for k in range(n + 1) for x in configs_with_size(d, k))
 
-    _check_work((q ** sum(map(len, _family_cells(x, key))) for x in profiles()), cap)
+    _check_work(q, (_family_cells(x, key) for x in profiles()), cap)
     for x in profiles():
         yield x, _family(x, space, key)

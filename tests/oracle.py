@@ -28,8 +28,10 @@ and tests T-stability by listing the span, so it shares nothing with
 `enumerate_submodules` but the basis value type `SubmoduleBasis`.
 `is_t_stable` is the row form of T-stability, the reference for the
 package's column form: each T-row of a reduced basis is reduced by every
-row and must vanish.  `monomial_vector` builds the flat vector of one
-monomial of a window.
+row and must vanish.  `echelon_forms` lists every reduced echelon basis of
+F_q^dim, pivot set by pivot set.  `monomial_vector` builds the flat vector
+of one monomial of a window, and `mul_by_t` is the tests' own T, moving
+each monomial's coefficient to the slot a level up.
 `family_cells` lists a family's free cells as slots under `hlex_order`
 or `lex_order`.  `lead` is the lead rule of a nonzero vector under a
 package monomial key, and `leading_profile` reads the per-seat leading
@@ -247,6 +249,16 @@ def monomial_vector(space, slot: Slot) -> tuple[int, ...]:
     return tuple(vec)
 
 
+def mul_by_t(space, vec: tuple[int, ...]) -> tuple[int, ...]:
+    """T times the flat vector `vec`: each coefficient moves a level up; the top level falls off."""
+    shifted = [0] * space.dim
+    for index, c in enumerate(vec):
+        slot = slot_from_index(index, space.d)
+        if slot.level + 1 < space.depth:
+            shifted[slot_index(Slot(slot.seat, slot.level + 1), space.d)] = c
+    return tuple(shifted)
+
+
 def hlex_order(slot: Slot) -> Slot:
     """The height order on slots: `Slot`'s own order."""
     return slot
@@ -294,7 +306,7 @@ def leading_profile(m: SubmoduleBasis, key) -> tuple[int, ...]:
     return tuple(lows)
 
 
-def _echelon_forms(q: int, dim: int):
+def echelon_forms(q: int, dim: int):
     """Every reduced echelon row tuple in F_q^dim, pivot sets of every size."""
     for k in range(dim + 1):
         for pivots in itertools.combinations(range(dim), k):
@@ -339,7 +351,7 @@ def t_stable_subspaces(space) -> list[SubmoduleBasis]:
     """
     q, d, dim = space.q, space.d, space.dim
     found = []
-    for rows in _echelon_forms(q, dim):
+    for rows in echelon_forms(q, dim):
         span = {
             tuple(sum(c * row[i] for c, row in zip(coeffs, rows)) % q for i in range(dim))
             for coeffs in itertools.product(range(q), repeat=len(rows))

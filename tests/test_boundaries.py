@@ -103,7 +103,7 @@ def test_out_of_domain_inputs_are_refused(build, message):
 def test_depth_zero_window_is_the_zero_space(q, d):
     space = ModuleSpace(q, d, 0)
     zero = SubmoduleBasis(space, ())
-    assert space.dim == 0 and space.mul_by_t(()) == ()
+    assert space.dim == 0
     assert enumerate_submodules(q, d, 0) == [zero]
     assert brute_strata(q, d, 0) == {Config.origin(d): [zero]}
     assert dict(families(q, d, 0)) == {Config.origin(d): [zero]}

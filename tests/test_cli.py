@@ -656,3 +656,10 @@ def test_capture_script_covers_the_argparse_surface():
     assert [r["code"] for r in records] == [0, 2, 2, 0, 0, 0, 2, 2, 2]
     assert all(r["stdout"].startswith("usage: spiralshift") for r in records if r["code"] == 0)
     assert all(r["stderr"].startswith("usage: spiralshift") for r in records if r["code"])
+
+
+def test_capture_script_runs_every_subcommand_and_every_exit_code():
+    script = load_capture_script()
+    assert {argv[0] for argv in script.INVOCATIONS} == set(cli.COMMANDS)
+    codes = {script.capture(argv)["code"] for argv in script.INVOCATIONS}
+    assert codes == {0, 2, 3, 4}

@@ -182,3 +182,33 @@ def test_package_keeps_no_state_between_calls():
                 continue
             found += [f"{path.name}:{node.lineno}: functools.{n}" for n in names if n in MEMOIZERS]
     assert found == []
+
+
+def test_every_private_definition_and_method_has_a_caller_in_the_package():
+    # A private function or class, or a method, that only tests reach is
+    # dead code kept alive by its tests.  A use is a name or an attribute
+    # read anywhere in the package; docstrings do not count.
+    package = Path(spiralshift.__file__).parent
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path)) for path in package.glob("*.py")
+    }
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    defined = []
+    for name, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined.append((name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (name, f"{node.name}.{item.name}")
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+    unused = [f"{name}: {full}" for name, full in defined if full.split(".")[-1] not in used]
+    assert defined and unused == []

@@ -21,11 +21,13 @@ import re
 
 from spiralshift.cli import main
 
-# The bench's census grids, the zero window, and two grids of deep members.
+# The bench's census grids, the zero window, and three grids of deep members,
+# whose strata lie in windows of many depths.
 CENSUS_GRIDS = [
-    (2, 3, 3), (2, 4, 2), (2, 2, 5), (3, 2, 4), (3, 3, 2), (2, 2, 0), (2, 2, 8), (3, 3, 3)
+    (2, 3, 3), (2, 4, 2), (2, 2, 5), (3, 2, 4), (3, 3, 2), (2, 2, 0), (2, 2, 8), (3, 3, 3),
+    (3, 2, 6),
 ]
-STRATA_GRIDS = [(2, 3, 3), (3, 2, 3)]
+STRATA_GRIDS = [(2, 3, 3), (3, 2, 3), (2, 2, 8)]
 SERIES_METHODS = ["product", "configs", "recurrence"]
 # Four generators of N^3: no free basis, so the closed form is refused.
 DEPENDENT = ["1,0,0", "0,1,0", "0,0,1", "1,1,0"]

@@ -32,31 +32,37 @@ members' generators, and one T-power list per profile, sliced from them
 (`ModuleSpace` has no T of its own), spans each member.  Under `hlex_key`
 each power leads at its own flat position with coefficient 1, and those
 make up the same pivot set P(x) = {a*d + (i-1) : x_i <= a < depth} for
-every member, so the stratum is planned once: the powers from the highest
-pivot down, each with the earlier pivots its shifted free cells land on.
+every member, in any window of depth at least max x, so the stratum is
+planned once: the powers from the highest pivot down, each with the
+earlier pivots its shifted free cells land on.
 A member then clears each power at those pivots only, with nothing sorted
 or scanned.  Under `lex_key` the height-order leads can collide, and the
 powers are echelonized.  Every elimination step is one `_reduce`.
 
-`families(q, d, n, key)` is the one capped path to the families: it
-builds the one window of depth n, which validates q, d and n, sums the
-members of the families profile by profile against `cap`, stopping past
-it, and only then yields them one profile at a time.
-`Census.walk` checks each hlex stratum's members as they come, from their
-rows alone: reduced echelon form, T-stability, the pivot set P(x),
-worked out once per stratum from x and the depth, and no repeats.  For a
-T-stable member the pivot set says the leading module is x and the
-colength size(x).  Both basis checks read columns, and all they need of
-a basis besides its columns is its pivots, so they are planned once per
-pivot set (`_PivotFrame`): the walk plans them once per stratum, and the
-scan once per pivot set, and each member is transposed once.  The walk
-keeps only the stratum sizes; the colength totals and the stratum sizes,
-with their predictions, are read off it.  The scan
-`enumerate_submodules`, grouped by `brute_strata`, is the independent
-oracle the walk is tested against: it fills the free cells of each P(x)
-with the same filler and builds a `SubmoduleBasis` only for the T-stable
-candidates.  Every enumerator counts its exact work in `_check_work`
-before it starts and refuses past `cap`.
+`families(q, d, n, key)` and `Census.walk` share one capped path to the
+families, `_capped_profiles`: it sums the members of the families profile
+by profile against `cap`, stopping past it, before any is built.  Both
+first build the window of depth n, which validates q, d and n.
+`families` yields every family, one profile at a time, in that window.
+`Census.walk` builds each hlex stratum x in its own window, of depth
+max x: its generators' free cells all lie below that level, so every
+member contains T^{max x} times the module and is determined by its image
+there, in fewer and shorter rows.  It checks each stratum's members as
+they come, from their rows alone: reduced echelon form, T-stability, the
+pivot set P(x), worked out once per stratum from x and the window's
+depth, and no repeats.  For a T-stable member the pivot set says the
+leading module is x and the colength size(x).  Both basis checks read
+columns, and all they need of a basis besides its columns is its pivots,
+so they are planned once per pivot set (`_PivotFrame`): the walk plans
+them once per stratum, and the scan once per pivot set, and each member
+is transposed once.  The walk keeps only the stratum sizes; the colength
+totals and the stratum sizes, with their predictions, are read off it.
+The scan `enumerate_submodules`, grouped by `brute_strata`, is the
+independent oracle the walk is tested against: it fills the free cells of
+each P(x) in the window of depth n with the same filler and builds a
+`SubmoduleBasis` only for the T-stable candidates.  Every enumerator
+counts its exact work in `_check_work` before it starts and refuses past
+`cap`.
 """
 
 from __future__ import annotations
@@ -443,12 +449,20 @@ class Census:
     def walk(cls, q: int, d: int, n: int, cap: int = DEFAULT_CAP) -> "Census":
         """Generate every stratum of size at most n and count its checked members.
 
-        The strata are the hlex families, one at a time from `families`, so
-        their members, summed, may not exceed `cap`.
+        The strata are the hlex families of the profiles that
+        `_capped_profiles` passes, so their members, summed, may not exceed
+        `cap`.  Stratum x is built and checked in the window of depth
+        max x: each member contains T^{max x} times the module, so its image
+        there determines it.
         """
-        space = ModuleSpace(q, d, n)
-        strata = families(q, d, n, hlex_key, cap)
-        return cls(q, d, n, {x: _checked_size(x, space, members) for x, members in strata})
+        profiles = _capped_profiles(ModuleSpace(q, d, n), hlex_key, cap)
+        # Each depth up to n is max x for some x, such as (depth, 0, ..., 0).
+        spaces = [ModuleSpace(q, d, depth) for depth in range(n + 1)]
+        sizes = {}
+        for x in profiles:
+            space = spaces[max(x.levels)]
+            sizes[x] = _checked_size(x, space, _family(x, space, hlex_key))
+        return cls(q, d, n, sizes)
 
     def observed(self) -> list[int]:
         """Entry k counts the submodules of colength k."""
@@ -474,20 +488,22 @@ class Census:
 def _checked_size(x: Config, space: ModuleSpace, members: list[SubmoduleBasis]) -> int:
     """The number of members of stratum x, each checked independently of the generator.
 
-    Every member must lie in `space`, be in reduced echelon form, be
-    T-stable, have the pivot set P(x) = {a*d + (i-1) : x_i <= a < depth}, and
-    occur once.  P(x) is worked out once, from x and the depth alone; the
-    checks read only the member's rows.  The pivots of a T-stable subspace
-    fill a top range of levels on each seat, starting at its leading
-    level, so for a T-stable member the pivot test says exactly that its
-    leading module is x and its colength size(x).  Since a reduced basis
-    is the submodule's canonical form and the leading module is a function
-    of the submodule, no submodule is counted twice and the strata are
-    disjoint too.  The checks are planned once per stratum, in the frame of
-    P(x), and read each member from one transpose of its rows.  A member
-    whose space or pivots are not the stratum's has failed already; its
-    own basis checks name the first fault, in the same order.  A failure
-    raises InternalInvariantError.
+    `space` is the stratum's window, of depth at least max x; the walk
+    passes the window of depth max x.  Every member must lie in `space`, be
+    in reduced echelon form, be T-stable, have the pivot set
+    P(x) = {a*d + (i-1) : x_i <= a < depth}, and occur once.  P(x) is worked
+    out once, from x and the depth alone; the checks read only the member's
+    rows.  The pivots of a T-stable subspace fill a top range of levels on
+    each seat, starting at its leading level, so for a T-stable member the
+    pivot test says exactly that its leading module is x and its colength
+    size(x); a seat with x_i = depth has no pivot, and its leading level
+    reads as the depth.  Since a reduced basis is the submodule's canonical
+    form and the leading module is a function of the submodule, no
+    submodule is counted twice and the strata are disjoint too.  The checks
+    are planned once per stratum, in the frame of P(x), and read each
+    member from one transpose of its rows.  A member whose space or pivots
+    are not the stratum's has failed already; its own basis checks name the
+    first fault, in the same order.  A failure raises InternalInvariantError.
     """
     pivots = _stratum_pivots(x.levels, space.depth)
     frame = _PivotFrame(space, pivots)
@@ -542,11 +558,16 @@ def _family_cells(x: Config, key: MonomialKey) -> list[list[int]]:
 def _family(x: Config, space: ModuleSpace, key: MonomialKey) -> list[SubmoduleBasis]:
     """The submodules spanned by one generator per seat, over every filling of the free cells.
 
-    The generators live in `space`, a window of depth at least size(x).
+    The generators live in `space`, a window of depth at least size(x), or
+    under `hlex_key` at least max x, below which lie all the free cells.
     Seat i's generator is its leading monomial (seat i, level x_i), dropped
     when the window truncates it, plus coefficients from F_q on the cells
     of `_family_cells(x, key)`.  The submodule is spanned by the T-powers of
-    every generator, listed once per profile up to the last in the window.
+    every generator, listed once per profile until its lead leaves the
+    window.  Under `lex_key` a power whose lead has left, though a lower
+    cell has not, lies in the span of the others: the lex leads of the
+    powers kept are distinct and number d*depth - size(x), the member's
+    dimension.
     Under `hlex_key` each power leads, with coefficient 1, at its own flat
     position, and those positions are P(x) for every member; `_closure_plan`
     sorts the powers once per profile into the order that reduces them to
@@ -563,14 +584,11 @@ def _family(x: Config, space: ModuleSpace, key: MonomialKey) -> list[SubmoduleBa
         if level < depth:
             gens.append((level * d + seat, cells))
         elif cells:
-            # Unreachable: depth >= colength forces the cell list empty here.
+            # Unreachable: a depth at least max x, or at least the colength
+            # under lex_key, forces the cell list empty here.
             raise InternalInvariantError("free cells attached to a truncated leading monomial")
-    # Each generator's T-powers, as (g, shift), until its lowest cell leaves the window.
-    powers = [
-        (g, shift)
-        for g, (lead, cells) in enumerate(gens)
-        for shift in range(0, dim - min([lead, *cells]), d)
-    ]
+    # Each generator's T-powers, as (g, shift), until its lead leaves the window.
+    powers = [(g, shift) for g, (lead, _) in enumerate(gens) for shift in range(0, dim - lead, d)]
     plan = _closure_plan(gens, powers) if key is hlex_key else None
     zeros = (0,) * dim
     found = []
@@ -622,15 +640,25 @@ def families(
     Hermite matrices with diagonal x: column j is the generator T^{x_j} u_j
     plus, on each seat i > j, a polynomial of degree below x_i.  Every
     family lives in the one window of depth n, built first, which validates
-    q, d and n.  The members of the families, q to each family's free-cell
-    count, are summed against `cap` profile by profile, so a refusal looks
-    at no more than cap + 1 profiles; only then is any family built.
+    q, d and n; the members are counted against `cap` by `_capped_profiles`
+    before any family is built.
     """
     space = ModuleSpace(q, d, n)
+    for x in _capped_profiles(space, key, cap):
+        yield x, _family(x, space, key)
+
+
+def _capped_profiles(space: ModuleSpace, key: MonomialKey, cap: int) -> Iterator[Config]:
+    """The profiles of size at most the depth, smallest first, once their families fit `cap`.
+
+    The members of the families under `key`, q to each family's free-cell
+    count, are summed against `cap` profile by profile before this returns,
+    so a refusal looks at no more than cap + 1 profiles.
+    """
+    d, n = space.d, space.depth
 
     def profiles() -> Iterator[Config]:
         return (x for k in range(n + 1) for x in configs_with_size(d, k))
 
-    _check_work(q, (_family_cells(x, key) for x in profiles()), cap)
-    for x in profiles():
-        yield x, _family(x, space, key)
+    _check_work(space.q, (_family_cells(x, key) for x in profiles()), cap)
+    return profiles()

@@ -31,7 +31,9 @@ package's column form: each T-row of a reduced basis is reduced by every
 row and must vanish.  `echelon_forms` lists every reduced echelon basis of
 F_q^dim, pivot set by pivot set.  `monomial_vector` builds the flat vector
 of one monomial of a window, and `mul_by_t` is the tests' own T, moving
-each monomial's coefficient to the slot a level up.
+each monomial's coefficient to the slot a level up.  `deepen` takes a
+submodule into a deeper window, where it gains every monomial of the new
+levels.
 `family_cells` lists a family's free cells as slots under `hlex_order`
 or `lex_order`.  `lead` is the lead rule of a nonzero vector under a
 package monomial key, and `leading_profile` reads the per-seat leading
@@ -42,7 +44,7 @@ import itertools
 from dataclasses import dataclass
 from functools import total_ordering
 
-from spiralshift import BiPoly, Config, MultiIndex, SubmoduleBasis
+from spiralshift import BiPoly, Config, ModuleSpace, MultiIndex, SubmoduleBasis
 from spiralshift import shift_from as shift_power
 
 
@@ -257,6 +259,26 @@ def mul_by_t(space, vec: tuple[int, ...]) -> tuple[int, ...]:
         if slot.level + 1 < space.depth:
             shifted[slot_index(Slot(slot.seat, slot.level + 1), space.d)] = c
     return tuple(shifted)
+
+
+def deepen(m: SubmoduleBasis, depth: int) -> SubmoduleBasis:
+    """m taken into the window of `depth`, at least m's: its rows zero-padded, then unit rows.
+
+    A subspace of the window of depth k stands for a submodule that contains
+    T^k times the module, so the deeper window adds to it every monomial at
+    level k and up, one unit row each; those keep the basis reduced and in
+    height order.
+    """
+    shallow = m.space
+    d = shallow.d
+    space = ModuleSpace(shallow.q, d, depth)
+    padding = (0,) * (space.dim - shallow.dim)
+    units = [
+        monomial_vector(space, Slot(seat, level))
+        for level in range(shallow.depth, depth)
+        for seat in range(1, d + 1)
+    ]
+    return SubmoduleBasis(space, tuple(row + padding for row in m.rows) + tuple(units))
 
 
 def hlex_order(slot: Slot) -> Slot:

@@ -48,6 +48,13 @@ WIDE_GENS = GeneratorSet(3, (MultiIndex((1, 0, 0)),))
         (lambda: box_partitions(2, -1), "box dimensions must be nonnegative"),
         (lambda: gaussian_counts(2, 0), "width d must be positive"),
         (lambda: dict(families(2, 2, -1)), "depth must be nonnegative, got -1"),
+        (lambda: dict(families(4, 2, 2)), "modulus must be prime, got 4"),
+        (lambda: dict(families(2, 0, 2)), "width d must be positive"),
+        # The walk builds each stratum in a window of its own depth, none of
+        # them n's, so it validates (q, d, n) first, as families does.
+        (lambda: Census.walk(2, 2, -1), "depth must be nonnegative, got -1"),
+        (lambda: Census.walk(4, 2, 2), "modulus must be prime, got 4"),
+        (lambda: Census.walk(2, 0, 2), "width d must be positive"),
         (
             lambda: echelonize(ModuleSpace(2, 2, 2), [(1, 0)]),
             "vector of length 2 in a window of dimension 4",
@@ -85,6 +92,11 @@ WIDE_GENS = GeneratorSet(3, (MultiIndex((1, 0, 0)),))
         "box_partitions-cols",
         "gaussian_counts",
         "families",
+        "families-modulus",
+        "families-width",
+        "walk-depth",
+        "walk-modulus",
+        "walk-width",
         "echelonize-length",
         "echelonize-entry",
         "echelonize-negative",

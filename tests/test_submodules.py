@@ -505,9 +505,12 @@ class TestWalk:
         family = submodules._family
         walked = {}
 
-        def recording(x, *args):
-            members = family(x, *args)
-            walked[x] = set(members)
+        def recording(x, space, key):
+            # Each stratum is walked in the window of depth max x, the brute
+            # scan's in the window of depth n.
+            assert space.depth == max(x.levels)
+            members = family(x, space, key)
+            walked[x] = {oracle.deepen(m, n) for m in members}
             return members
 
         monkeypatch.setattr(submodules, "_family", recording)
@@ -532,7 +535,9 @@ class TestWalk:
     def test_member_guards_fire(self, monkeypatch, fault, message):
         # A member with the stratum's pivots is checked in the stratum's
         # frame (not_reduced, flipped_free_entry); any other member by its
-        # own basis methods, which name the same first fault.
+        # own basis methods, which name the same first fault.  The faults
+        # that alter rows act on stratum (0, 2), whose window of depth 2
+        # holds two rows: (1, a, 0, b) and (0, 0, 1, a).
         family = submodules._family
 
         def faulty(x, space, key):
@@ -545,28 +550,28 @@ class TestWalk:
             members = family(x, space, key)
             if fault == "duplicate":
                 return members + members[:1]
+            if x != Config((0, 2)):
+                return members
             q = space.q
             if fault == "not_reduced":
-                # The first stratum is the whole module: keep its span and its
-                # pivots, with row 0 replaced by row 0 + row 1.
+                # Keep the span and the pivots, with row 0 replaced by row 0 + row 1.
                 rows = members[0].rows
                 row = tuple((a + b) % q for a, b in zip(rows[0], rows[1]))
                 return [SubmoduleBasis(space, (row,) + rows[1:])] + members[1:]
             if fault == "unordered_rows":
-                # The whole module again, its rows in decreasing pivot order.
+                # The same rows in decreasing pivot order.
                 return [SubmoduleBasis(space, members[0].rows[::-1])] + members[1:]
             if fault == "flipped_free_entry":
-                if x != Config((0, 2)):
-                    return members
-                # Stratum (0, 2) has W = 2 and pivots u1, Tu1: its members are
-                # rows (1, a, 0, b) and (0, 0, 1, a).  Flipping the last entry
-                # keeps the pivots and the reduced form, but T·row 0 leaves the span.
+                # Stratum (0, 2) has W = 2 and pivots u1, Tu1.  Flipping the
+                # last entry keeps the pivots and the reduced form, but T·row 0
+                # leaves the span.
                 rows = members[0].rows
                 row = rows[1][:-1] + ((rows[1][-1] + 1) % q,)
                 flipped = SubmoduleBasis(space, (rows[0], row))
                 assert flipped.pivot_positions() == members[0].pivot_positions()
                 assert flipped.is_reduced() and not oracle.is_t_stable(flipped)
                 return [flipped] + members[1:]
+            # not_t_stable: the span of u1 alone, reduced, but T·u1 leaves it.
             return [SubmoduleBasis(space, echelonize(space, [monomial_vector(space, Slot(1, 0))]))]
 
         monkeypatch.setattr(submodules, "_family", faulty)
@@ -584,6 +589,19 @@ class TestWalk:
                     expected = echelonized_family(x, q, n, key)
                     got = submodules._family(x, space, key)
                     assert sorted(got, key=lambda m: (m.codim, m.rows)) == expected, (x, key)
+
+    @pytest.mark.parametrize("q,d,n", WALK_GRIDS + PAST_BRUTE_GRIDS)
+    def test_stratum_window_holds_the_depth_n_members(self, q, d, n):
+        # The walk's window of depth max x loses nothing of the stratum: its
+        # members, deepened, are the members built in the window of depth n.
+        deep = ModuleSpace(q, d, n)
+        for k in range(n + 1):
+            for x in configs_with_size(d, k):
+                shallow = ModuleSpace(q, d, max(x.levels))
+                members = submodules._family(x, shallow, hlex_key)
+                deepened = [oracle.deepen(m, n) for m in members]
+                assert len(set(deepened)) == len(members), x
+                assert set(deepened) == set(submodules._family(x, deep, hlex_key)), x
 
 
 class TestExactCap:
